@@ -1,12 +1,14 @@
 #include "campaign/spec.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.h"
 #include "util/time.h"
 
 namespace canids::campaign {
@@ -74,8 +76,15 @@ class JsonParser {
   Json parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > util::kMaxJsonDepth) {
+          throw util::JsonDepthError("campaign spec JSON", pos_);
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Json v;
         v.type = Json::Type::kString;
@@ -212,6 +221,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 std::string json_number(double value) {
@@ -235,8 +245,18 @@ double as_number(const std::string& key, const Json& v) {
 
 int as_int(const std::string& key, const Json& v) {
   const double n = as_number(key, v);
-  if (n != std::floor(n)) bad_key(key, "an integer");
+  if (n != std::floor(n) || n < INT_MIN || n > INT_MAX) {
+    bad_key(key, "an integer");
+  }
   return static_cast<int>(n);
+}
+
+util::TimeNs as_seconds(const std::string& key, const Json& v) {
+  const double s = as_number(key, v);
+  if (!util::seconds_representable(s)) {
+    bad_key(key, "a finite number of seconds below 9.2e9");
+  }
+  return util::from_seconds(s);
 }
 
 bool as_bool(const std::string& key, const Json& v) {
@@ -554,13 +574,11 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
       if (windows < 2) bad_key(key, "an integer >= 2");
       spec.experiment.training_windows = static_cast<std::size_t>(windows);
     } else if (key == "lead_in_seconds") {
-      spec.experiment.clean_lead_in = util::from_seconds(as_number(key, value));
+      spec.experiment.clean_lead_in = as_seconds(key, value);
     } else if (key == "attack_seconds") {
-      spec.experiment.attack_duration =
-          util::from_seconds(as_number(key, value));
+      spec.experiment.attack_duration = as_seconds(key, value);
     } else if (key == "window_seconds") {
-      spec.experiment.pipeline.window.duration =
-          util::from_seconds(as_number(key, value));
+      spec.experiment.pipeline.window.duration = as_seconds(key, value);
     } else if (key == "alpha") {
       spec.experiment.pipeline.detector.alpha = as_number(key, value);
       spec.experiment.muter.alpha = as_number(key, value);

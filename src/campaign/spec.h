@@ -147,7 +147,8 @@ struct CampaignSpec {
 
   /// Parse a spec from its JSON form. Unknown keys and malformed values
   /// throw std::invalid_argument — nothing in a spec file is silently
-  /// ignored.
+  /// ignored. Nesting deeper than util::kMaxJsonDepth throws
+  /// util::JsonDepthError.
   [[nodiscard]] static CampaignSpec from_json(std::string_view text);
 
   /// The spec as JSON (the exact form from_json accepts; also embedded in

@@ -1,31 +1,35 @@
 #include "can/arbitration.h"
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace canids::can {
 
 namespace {
-constexpr bool kDominant = false;
-constexpr bool kRecessive = true;
+
+/// The arbitration field MSB-aligned in 32 bits and padded with dominant
+/// (0) bits. The wired-AND contest then reduces to integer order: the lowest
+/// key wins, and a loser drops out at the first bit where its key differs
+/// from the winner's.
+std::uint32_t arbitration_key(const Frame& frame) noexcept {
+  const CanId id = frame.id();
+  const std::uint32_t rtr = frame.is_remote() ? 1u : 0u;
+  if (!id.is_extended()) {
+    // ID, RTR, then the dominant IDE bit: a standard frame sends IDE
+    // dominant where an extended frame with the same 11 leading bits sends
+    // recessive SRR/IDE, so standard beats extended.
+    return (id.raw() << 21) | (rtr << 20);
+  }
+  return ((id.raw() >> 18) << 21) | (0b11u << 19) |  // ID[28..18], SRR, IDE
+         ((id.raw() & 0x3FFFFu) << 1) | rtr;         // ID[17..0], RTR
+}
+
 }  // namespace
 
 BitString arbitration_bits(const Frame& frame) {
+  const int length = frame.id().is_extended() ? 32 : kStdIdBits + 2;
   BitString bits;
-  const CanId id = frame.id();
-  if (!id.is_extended()) {
-    bits.append_bits(id.raw(), kStdIdBits);
-    bits.push_back(frame.is_remote() ? kRecessive : kDominant);  // RTR
-    // The IDE bit is transmitted dominant by standard frames while an
-    // extended frame with the same 11 leading bits sends recessive SRR/IDE,
-    // so including it captures standard-beats-extended semantics.
-    bits.push_back(kDominant);  // IDE
-  } else {
-    bits.append_bits(id.raw() >> 18, kStdIdBits);
-    bits.push_back(kRecessive);  // SRR
-    bits.push_back(kRecessive);  // IDE
-    bits.append_bits(id.raw() & 0x3FFFFu, 18);
-    bits.push_back(frame.is_remote() ? kRecessive : kDominant);  // RTR
-  }
+  bits.append_bits(arbitration_key(frame) >> (32 - length), length);
   return bits;
 }
 
@@ -36,57 +40,37 @@ bool arbitration_wins(const Frame& a, const Frame& b) {
 }
 
 ArbitrationResult arbitrate(std::span<const Frame> contenders) {
-  CANIDS_EXPECTS(!contenders.empty());
-
-  std::vector<BitString> fields;
-  fields.reserve(contenders.size());
-  std::size_t max_len = 0;
-  for (const Frame& f : contenders) {
-    fields.push_back(arbitration_bits(f));
-    max_len = std::max(max_len, fields.back().size());
-  }
-
   ArbitrationResult result;
-  result.lost_at_bit.assign(contenders.size(), std::nullopt);
-
-  std::vector<std::size_t> alive(contenders.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = i;
-
-  for (std::size_t bit = 0; bit < max_len && alive.size() > 1; ++bit) {
-    // The bus level is the wired-AND of all transmitters: dominant if any
-    // alive contender sends dominant. A contender whose field is exhausted
-    // has fully transmitted its arbitration sequence; model its next level
-    // as dominant (a data frame's IDE/r0 are dominant), which also gives
-    // shorter-field-wins for prefix relationships.
-    bool bus_dominant = false;
-    for (std::size_t idx : alive) {
-      const bool sent = bit < fields[idx].size() ? fields[idx][bit] : kDominant;
-      if (sent == kDominant) {
-        bus_dominant = true;
-        break;
-      }
-    }
-    if (!bus_dominant) continue;  // everyone recessive: no one drops out
-
-    std::vector<std::size_t> still_alive;
-    still_alive.reserve(alive.size());
-    for (std::size_t idx : alive) {
-      const bool sent = bit < fields[idx].size() ? fields[idx][bit] : kDominant;
-      if (sent == kRecessive) {
-        result.lost_at_bit[idx] = bit;
-      } else {
-        still_alive.push_back(idx);
-      }
-    }
-    alive = std::move(still_alive);
-  }
-
-  // All remaining contenders transmitted identical arbitration fields.
-  result.winner = alive.front();
-  for (std::size_t i = 1; i < alive.size(); ++i) {
-    result.tied_with_winner.push_back(alive[i]);
-  }
+  arbitrate(contenders, result);
   return result;
+}
+
+void arbitrate(std::span<const Frame> contenders, ArbitrationResult& out) {
+  CANIDS_EXPECTS(!contenders.empty());
+  // The lowest index holding the minimum key wins; every other contender
+  // with that key transmitted an identical field (a tie).
+  std::size_t winner = 0;
+  std::uint32_t winner_key = arbitration_key(contenders[0]);
+  for (std::size_t i = 1; i < contenders.size(); ++i) {
+    const std::uint32_t key = arbitration_key(contenders[i]);
+    if (key < winner_key) {
+      winner = i;
+      winner_key = key;
+    }
+  }
+  out.winner = winner;
+  out.lost_at_bit.assign(contenders.size(), std::nullopt);
+  out.tied_with_winner.clear();
+  for (std::size_t i = 0; i < contenders.size(); ++i) {
+    if (i == winner) continue;
+    const std::uint32_t key = arbitration_key(contenders[i]);
+    if (key == winner_key) {
+      out.tied_with_winner.push_back(i);
+    } else {
+      out.lost_at_bit[i] =
+          static_cast<std::size_t>(std::countl_zero(key ^ winner_key));
+    }
+  }
 }
 
 }  // namespace canids::can

@@ -41,4 +41,8 @@ struct ArbitrationResult {
 /// Run one arbitration round over the contenders. Requires at least one.
 [[nodiscard]] ArbitrationResult arbitrate(std::span<const Frame> contenders);
 
+/// As above, writing into `out` so a caller running many rounds reuses its
+/// vectors' storage.
+void arbitrate(std::span<const Frame> contenders, ArbitrationResult& out);
+
 }  // namespace canids::can

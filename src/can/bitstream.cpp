@@ -1,5 +1,7 @@
 #include "can/bitstream.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "can/crc15.h"
@@ -10,6 +12,96 @@ namespace {
 
 constexpr bool kDominant = false;
 constexpr bool kRecessive = true;
+
+/// Fixed bits after the stuff region: CRC delimiter, ACK slot, ACK
+/// delimiter and 7 EOF bits.
+constexpr int kTailBits = 10;
+
+/// A frame's stuff region (SOF..CRC, at most 118 bits) packed MSB-first:
+/// region bit i is bit 63 - i % 64 of words[i / 64]. Bits past `size` are 0.
+struct StuffRegion {
+  std::uint64_t words[2] = {0, 0};
+  int size = 0;
+  int data_begin = 0;
+  int crc_begin = 0;
+  std::uint16_t crc = 0;
+
+  /// Append the low `count` bits of `value` MSB-first; 1 <= count <= 32.
+  void append(std::uint32_t value, int count) noexcept {
+    const std::uint64_t v = value & ((std::uint64_t{1} << count) - 1);
+    const int room = 64 - size % 64;
+    std::uint64_t* word = &words[size / 64];
+    if (count <= room) {
+      *word |= v << (room - count);
+    } else {
+      word[0] |= v >> (count - room);
+      word[1] |= v << (64 - (count - room));
+    }
+    size += count;
+  }
+
+  /// Append `count` dominant bits.
+  void append_dominant(int count) noexcept { size += count; }
+
+  [[nodiscard]] bool bit(int i) const noexcept {
+    return ((words[i / 64] >> (63 - i % 64)) & 1u) != 0;
+  }
+
+  /// Length of the run of bits equal to `value` starting at `pos`,
+  /// stopping at the region end.
+  [[nodiscard]] int run_from(int pos, bool value) const noexcept {
+    const std::uint64_t flip = value ? ~std::uint64_t{0} : 0;
+    for (int w = pos / 64; w < 2; ++w) {
+      std::uint64_t differs = words[w] ^ flip;
+      if (w == pos / 64) differs &= ~std::uint64_t{0} >> (pos % 64);
+      if (differs != 0) {
+        return std::min(64 * w + std::countl_zero(differs), size) - pos;
+      }
+    }
+    return size - pos;
+  }
+};
+
+StuffRegion encode_stuff_region(const Frame& frame) noexcept {
+  StuffRegion region;
+  // --- Start of frame --------------------------------------------------------
+  region.append_dominant(1);
+
+  // --- Arbitration and control fields ----------------------------------------
+  const CanId id = frame.id();
+  const std::uint32_t rtr = frame.is_remote() ? 1u : 0u;
+  if (!id.is_extended()) {
+    region.append(id.raw(), kStdIdBits);
+    region.append(rtr, 1);
+    region.append_dominant(2);  // IDE (dominant = standard) + r0
+  } else {
+    region.append(id.raw() >> 18, kStdIdBits);  // ID[28..18]
+    region.append(0b11, 2);  // SRR + IDE (recessive = extended)
+    region.append(id.raw() & 0x3FFFFu, 18);     // ID[17..0]
+    region.append(rtr, 1);
+    region.append_dominant(2);  // r1 + r0
+  }
+  region.append(frame.dlc(), 4);
+
+  // --- Data field ------------------------------------------------------------
+  region.data_begin = region.size;
+  for (std::uint8_t byte : frame.payload()) region.append(byte, 8);
+
+  // --- CRC sequence over SOF..data: whole bytes by table, then the rest ------
+  region.crc_begin = region.size;
+  Crc15 crc;
+  const int whole_bytes = region.size / 8;
+  for (int k = 0; k < whole_bytes; ++k) {
+    crc.push_byte(static_cast<std::uint8_t>(region.words[k / 8] >>
+                                            (56 - 8 * (k % 8))));
+  }
+  for (int i = 8 * whole_bytes; i < region.size; ++i) {
+    crc.push_bit(region.bit(i));
+  }
+  region.crc = crc.value();
+  region.append(region.crc, 15);
+  return region;
+}
 
 }  // namespace
 
@@ -37,49 +129,19 @@ std::string BitString::to_string() const {
 }
 
 SerializedFrame serialize(const Frame& frame) {
+  const StuffRegion region = encode_stuff_region(frame);
   SerializedFrame out;
   BitString& bits = out.unstuffed;
   FrameLayout& layout = out.layout;
+  for (int i = 0; i < region.size; ++i) bits.push_back(region.bit(i));
 
-  // --- Start of frame ------------------------------------------------------
-  layout.sof_begin = bits.size();
-  bits.push_back(kDominant);
-
-  // --- Arbitration field ---------------------------------------------------
-  layout.arbitration_begin = bits.size();
-  const CanId id = frame.id();
-  if (!id.is_extended()) {
-    bits.append_bits(id.raw(), kStdIdBits);
-    bits.push_back(frame.is_remote() ? kRecessive : kDominant);  // RTR
-    // --- Control field: IDE (dominant = standard) + r0 + DLC --------------
-    layout.control_begin = bits.size();
-    bits.push_back(kDominant);  // IDE
-    bits.push_back(kDominant);  // r0
-  } else {
-    bits.append_bits(id.raw() >> 18, kStdIdBits);  // ID[28..18]
-    bits.push_back(kRecessive);                    // SRR
-    bits.push_back(kRecessive);                    // IDE (recessive = extended)
-    bits.append_bits(id.raw() & 0x3FFFFu, 18);     // ID[17..0]
-    bits.push_back(frame.is_remote() ? kRecessive : kDominant);  // RTR
-    // --- Control field: r1 + r0 + DLC --------------------------------------
-    layout.control_begin = bits.size();
-    bits.push_back(kDominant);  // r1
-    bits.push_back(kDominant);  // r0
-  }
-  bits.append_bits(frame.dlc(), 4);
-
-  // --- Data field -----------------------------------------------------------
-  layout.data_begin = bits.size();
-  for (std::uint8_t byte : frame.payload()) {
-    bits.append_bits(byte, 8);
-  }
-
-  // --- CRC sequence over SOF..data -----------------------------------------
-  Crc15 crc;
-  for (std::size_t i = 0; i < bits.size(); ++i) crc.push_bit(bits[i]);
-  out.crc = crc.value();
-  layout.crc_begin = bits.size();
-  bits.append_bits(out.crc, 15);
+  layout.sof_begin = 0;
+  layout.arbitration_begin = 1;
+  // The control field is the two IDE/r bits plus the 4-bit DLC.
+  layout.control_begin = static_cast<std::size_t>(region.data_begin - 6);
+  layout.data_begin = static_cast<std::size_t>(region.data_begin);
+  layout.crc_begin = static_cast<std::size_t>(region.crc_begin);
+  out.crc = region.crc;
 
   const std::size_t stuffable = bits.size();  // SOF..CRC is the stuff region
 
@@ -167,8 +229,45 @@ BitString destuff(const BitString& stuffed,
   return out;
 }
 
+WireTiming wire_timing(const Frame& frame) noexcept {
+  const StuffRegion region = encode_stuff_region(frame);
+  // Walk the region run by run with stuff()'s rule: the fifth identical bit
+  // is followed by a complementary stuff bit, which starts a run of its
+  // own. The ACK slot is a lone dominant bit between recessive delimiters.
+  int stuff_bits = 0;
+  int longest_dominant = 1;
+  bool run_bit = kRecessive;
+  int run = 0;
+  int pos = 0;
+  while (pos < region.size) {
+    const bool bit = region.bit(pos);
+    if (bit != run_bit) {
+      run_bit = bit;
+      run = 0;
+    }
+    const int same = region.run_from(pos, bit);
+    const int to_stuff = 5 - run;
+    if (same >= to_stuff) {
+      pos += to_stuff;
+      if (run_bit == kDominant) {
+        longest_dominant = std::max(longest_dominant, 5);
+      }
+      ++stuff_bits;
+      run_bit = !run_bit;
+      run = 1;
+    } else {
+      pos += same;
+      run += same;
+      if (run_bit == kDominant) {
+        longest_dominant = std::max(longest_dominant, run);
+      }
+    }
+  }
+  return WireTiming{region.size + stuff_bits + kTailBits, longest_dominant};
+}
+
 std::size_t wire_bit_length(const Frame& frame) {
-  return serialize(frame).stuffed.size();
+  return static_cast<std::size_t>(wire_timing(frame).bits);
 }
 
 std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept {
@@ -178,13 +277,16 @@ std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept {
   const int stuffable =
       (format == IdFormat::kStandard ? 34 : 54) + 8 * dlc;
   const int worst_stuff = (stuffable - 1) / 4;
-  return static_cast<std::size_t>(stuffable + worst_stuff + 10);
+  return static_cast<std::size_t>(stuffable + worst_stuff + kTailBits);
+}
+
+util::TimeNs bits_duration(std::int64_t bits, std::uint32_t bitrate_bps) {
+  CANIDS_EXPECTS(bitrate_bps > 0);
+  return bits * util::kSecond / static_cast<std::int64_t>(bitrate_bps);
 }
 
 util::TimeNs transmit_duration(const Frame& frame, std::uint32_t bitrate_bps) {
-  CANIDS_EXPECTS(bitrate_bps > 0);
-  const auto bits = static_cast<std::int64_t>(wire_bit_length(frame));
-  return bits * util::kSecond / static_cast<std::int64_t>(bitrate_bps);
+  return bits_duration(wire_timing(frame).bits, bitrate_bps);
 }
 
 }  // namespace canids::can

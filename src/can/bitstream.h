@@ -1,6 +1,11 @@
 // Frame serialization to the physical bit sequence (Fig. 1 of the paper),
-// including CRC computation and bit stuffing. Used for exact frame timing in
-// the bus simulator and for the FIG1 reproduction bench.
+// including CRC computation and bit stuffing.
+//
+// One encoder packs a frame's stuff region (SOF..CRC) into two 64-bit
+// words. The bus simulator times frames from it with wire_timing(), one
+// allocation-free pass over packed runs; serialize() expands the same
+// encoding into BitStrings and stuffs them bit by bit, the reference view
+// for FIG1 and the tests.
 #pragma once
 
 #include <cstdint>
@@ -84,12 +89,27 @@ struct SerializedFrame {
 [[nodiscard]] BitString destuff(const BitString& stuffed,
                                 std::size_t stuffable_bits_expected);
 
+/// What the bus needs to time one frame, computed from the packed encoding
+/// without building the bit sequence.
+struct WireTiming {
+  int bits = 0;                  ///< on-wire bits SOF..EOF, stuff bits included
+  int longest_dominant_run = 0;  ///< longest run of dominant on-wire bits
+};
+
+/// Wire length and longest dominant run of `frame`; equal to
+/// serialize(frame).stuffed.size() and a scan of that sequence.
+[[nodiscard]] WireTiming wire_timing(const Frame& frame) noexcept;
+
 /// Number of on-wire bits of the frame including stuff bits (SOF..EOF).
 [[nodiscard]] std::size_t wire_bit_length(const Frame& frame);
 
 /// Worst-case (maximum) wire length for a frame with `dlc` data bytes in the
 /// given format; useful for bandwidth bounds.
 [[nodiscard]] std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept;
+
+/// Duration of `bits` bit times at `bitrate_bps`.
+[[nodiscard]] util::TimeNs bits_duration(std::int64_t bits,
+                                         std::uint32_t bitrate_bps);
 
 /// Transmission duration at `bitrate_bps` (excluding interframe space).
 [[nodiscard]] util::TimeNs transmit_duration(const Frame& frame,

@@ -42,15 +42,14 @@ void BusSimulator::add_listener(std::function<void(const TimedFrame&)> listener)
   listeners_.push_back(std::move(listener));
 }
 
-std::vector<int> BusSimulator::eligible_contenders() const {
-  std::vector<int> out;
+void BusSimulator::collect_contenders() {
+  contenders_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = *nodes_[i];
     if (!n.disabled() && n.has_pending() && n.retry_not_before() <= now_) {
-      out.push_back(static_cast<int>(i));
+      contenders_.push_back(static_cast<int>(i));
     }
   }
-  return out;
 }
 
 util::TimeNs BusSimulator::next_activity_time() const {
@@ -79,7 +78,8 @@ void BusSimulator::run_until(util::TimeNs end) {
       if (!node->disabled()) node->produce(now_);
     }
 
-    const std::vector<int> contenders = eligible_contenders();
+    collect_contenders();
+    const std::vector<int>& contenders = contenders_;
     if (contenders.empty()) {
       const util::TimeNs next = next_activity_time();
       if (next == util::kNever || next >= end) {
@@ -91,12 +91,11 @@ void BusSimulator::run_until(util::TimeNs end) {
     }
 
     // --- Arbitration round -------------------------------------------------
-    std::vector<Frame> heads;
-    heads.reserve(contenders.size());
-    for (int idx : contenders) heads.push_back(node(idx).head());
+    heads_.clear();
+    for (int idx : contenders) heads_.push_back(node(idx).head());
 
-    const ArbitrationResult result =
-        arbitrate(std::span<const Frame>(heads.data(), heads.size()));
+    arbitrate(heads_, arbitration_);
+    const ArbitrationResult& result = arbitration_;
     ++stats_.arbitration_rounds;
     if (contenders.size() > 1) ++stats_.contested_rounds;
 
@@ -115,7 +114,9 @@ void BusSimulator::run_until(util::TimeNs end) {
 
     const Frame frame = winner.head();
 
-    const util::TimeNs duration = transmit_duration(frame, config_.bitrate_bps);
+    const WireTiming timing = wire_timing(frame);
+    const util::TimeNs duration =
+        bits_duration(timing.bits, config_.bitrate_bps);
 
     // --- Fault injection: an induced bit error destroys the frame --------
     const TimedFrame attempt{now_ + duration, frame, winner_index};
@@ -153,8 +154,8 @@ void BusSimulator::run_until(util::TimeNs end) {
 
     // Well-formed frames bound dominant runs via stuffing; still report the
     // span so the guard semantics hold uniformly.
-    const int dominant_run = longest_dominant_run(frame);
-    if (winner.guard().on_dominant_span(dominant_run * bit_time_)) {
+    if (winner.guard().on_dominant_span(timing.longest_dominant_run *
+                                        bit_time_)) {
       winner.set_disabled(true);
     }
 

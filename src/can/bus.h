@@ -3,10 +3,11 @@
 // The simulator advances a nanosecond clock. Whenever the bus is idle it
 // gathers every enabled node with a pending frame, runs bitwise arbitration
 // (arbitration.h), lets the winner transmit for exactly the frame's on-wire
-// duration (bitstream.h), delivers the frame to every listener, and applies
-// the interframe space before the next round. Losers retry after the
-// configured back-off, reproducing CAN's priority inversion — the physical
-// mechanism behind the paper's injection-rate curve (Fig. 3).
+// duration (bitstream.h's wire_timing(), computed on packed words), delivers
+// the frame to every listener, and applies the interframe space before the
+// next round. Losers retry after the configured back-off, reproducing CAN's
+// priority inversion — the physical mechanism behind the paper's
+// injection-rate curve (Fig. 3).
 #pragma once
 
 #include <functional>
@@ -111,8 +112,9 @@ class BusSimulator {
   [[nodiscard]] util::TimeNs bit_time() const noexcept { return bit_time_; }
 
  private:
-  /// Collect indices of nodes allowed to contend at `now_`.
-  [[nodiscard]] std::vector<int> eligible_contenders() const;
+  /// Collect into contenders_ the indices of nodes allowed to contend at
+  /// `now_`.
+  void collect_contenders();
 
   /// Earliest time any node could next become active (production or retry).
   [[nodiscard]] util::TimeNs next_activity_time() const;
@@ -126,6 +128,10 @@ class BusSimulator {
   std::vector<std::function<void(const TimedFrame&)>> listeners_;
   std::function<bool(const TimedFrame&)> fault_hook_;
   BusStats stats_;
+  // Per-round buffers, reused so that a round allocates nothing.
+  std::vector<int> contenders_;
+  std::vector<Frame> heads_;
+  ArbitrationResult arbitration_;
 };
 
 }  // namespace canids::can

@@ -4,6 +4,7 @@
 // sequence from SOF through the last data bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -29,9 +30,13 @@ class Crc15 {
     }
   }
 
+  /// Shift in one byte MSB-first: the same register as eight push_bit()
+  /// calls, eight bits per table step.
+  constexpr void push_byte(std::uint8_t byte) noexcept;
+
   /// Shift in whole bytes MSB-first.
   constexpr void push_bytes(std::span<const std::uint8_t> bytes) noexcept {
-    for (std::uint8_t b : bytes) push_bits(b, 8);
+    for (std::uint8_t b : bytes) push_byte(b);
   }
 
   [[nodiscard]] constexpr std::uint16_t value() const noexcept { return reg_; }
@@ -41,6 +46,31 @@ class Crc15 {
  private:
   std::uint16_t reg_ = 0;
 };
+
+namespace detail {
+
+/// Register after shifting byte `i` into a zero register: CRC-15 is linear,
+/// so the top eight register bits and the input byte combine by XOR.
+constexpr std::array<std::uint16_t, 256> make_crc15_byte_table() noexcept {
+  std::array<std::uint16_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    Crc15 crc;
+    crc.push_bits(i, 8);
+    table[i] = crc.value();
+  }
+  return table;
+}
+
+inline constexpr std::array<std::uint16_t, 256> kCrc15ByteTable =
+    make_crc15_byte_table();
+
+}  // namespace detail
+
+constexpr void Crc15::push_byte(std::uint8_t byte) noexcept {
+  const auto index = static_cast<std::uint8_t>((reg_ >> 7) ^ byte);
+  reg_ = static_cast<std::uint16_t>(((reg_ << 8) & kCrc15Mask) ^
+                                    detail::kCrc15ByteTable[index]);
+}
 
 /// One-shot CRC over a byte sequence (MSB-first per byte).
 [[nodiscard]] std::uint16_t crc15_of(std::span<const std::uint8_t> bytes) noexcept;

@@ -5,18 +5,7 @@
 namespace canids::can {
 
 int longest_dominant_run(const Frame& frame) {
-  const SerializedFrame serialized = serialize(frame);
-  int longest = 0;
-  int run = 0;
-  for (std::size_t i = 0; i < serialized.stuffed.size(); ++i) {
-    if (!serialized.stuffed[i]) {  // dominant
-      ++run;
-      if (run > longest) longest = run;
-    } else {
-      run = 0;
-    }
-  }
-  return longest;
+  return wire_timing(frame).longest_dominant_run;
 }
 
 }  // namespace canids::can

@@ -1,6 +1,7 @@
 #include "ids/inference.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -17,13 +18,39 @@ namespace {
   return static_cast<double>((id >> (width - 1 - bit)) & 1u);
 }
 
+constexpr std::size_t kMaxSet = 4;
+
 /// A partial injected-set hypothesis during beam search.
 struct Hypothesis {
-  std::vector<std::uint32_t> ids;  // ascending pool order
-  std::vector<double> weights;     // fitted per-ID traffic fractions
-  std::size_t last_pool_index = 0;
+  /// Members as positions in the (ascending) search pool, ascending.
+  std::array<std::size_t, kMaxSet> members{};
+  std::size_t size = 0;
+  std::array<double, kMaxSet> weights{};  // fitted per-ID traffic fractions
   double residual = 0.0;
   double lambda = 0.0;
+};
+
+/// Sum of a[i] * b[i] over the first `dims` entries, in index order.
+[[nodiscard]] double dot(const double* a, const double* b,
+                         std::size_t dims) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < dims; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+/// The inputs of one least-squares fit: each member's pattern, the
+/// pattern-pattern dot products and the pattern-delta dot products.
+struct FitInput {
+  std::size_t k = 0;
+  std::array<const double*, kMaxSet> patterns{};
+  double gram[kMaxSet][kMaxSet] = {};
+  std::array<double, kMaxSet> rhs{};
+};
+
+struct FitOutput {
+  std::array<double, kMaxSet> weights{};
+  double lambda = 0.0;
+  double residual = 0.0;
 };
 
 }  // namespace
@@ -151,42 +178,35 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   InferenceResult result;
   result.constraints = derive_constraints(delta_p);
 
-  auto pattern_of = [&](std::size_t pool_index) -> const std::vector<double>& {
-    return patterns_[pool_index];
-  };
-
   // ---- Least-squares fit ------------------------------------------------------
   // Model: injecting pool entries S with per-ID traffic fractions w_j >= 0
   // shifts every tracked statistic linearly:
   //   delta  ~=  sum_j w_j * pattern(x_j).
   // Per-ID weights (not one shared lambda) matter because a saturated bus
   // drops lower-priority members of S more often. Solved as a small
-  // non-negative least squares via active-set elimination (k <= 4).
-  auto fit = [&](const std::vector<std::size_t>& members, double& lambda_out,
-                 std::vector<double>& weights_out) {
-    const std::size_t k = members.size();
-    std::vector<bool> active(k, true);
-    std::vector<double> w(k, 0.0);
+  // non-negative least squares via active-set elimination (k <= 4). The
+  // normal equations read their dot products from caches filled once per
+  // call; a product is the same double whichever order it is taken in.
+  auto fit = [&](const FitInput& in) {
+    const std::size_t k = in.k;
+    std::array<bool, kMaxSet> active{};
+    std::fill_n(active.begin(), k, true);
+    FitOutput out;
+    std::array<double, kMaxSet>& w = out.weights;
     for (std::size_t pass = 0; pass <= k; ++pass) {
-      std::vector<std::size_t> idx;
+      std::array<std::size_t, kMaxSet> idx{};
+      std::size_t m = 0;
       for (std::size_t j = 0; j < k; ++j) {
-        if (active[j]) idx.push_back(j);
+        if (active[j]) idx[m++] = j;
       }
-      if (idx.empty()) break;
-      const std::size_t m = idx.size();
+      if (m == 0) break;
       // Normal equations over active members, ridge-stabilised.
       double a[4][5] = {};
       for (std::size_t r = 0; r < m; ++r) {
-        const std::vector<double>& dr = pattern_of(members[idx[r]]);
         for (std::size_t c = 0; c < m; ++c) {
-          const std::vector<double>& dc = pattern_of(members[idx[c]]);
-          double dot = 0.0;
-          for (std::size_t b = 0; b < dims; ++b) dot += dr[b] * dc[b];
-          a[r][c] = dot + (r == c ? 1e-9 : 0.0);
+          a[r][c] = in.gram[idx[r]][idx[c]] + (r == c ? 1e-9 : 0.0);
         }
-        double rhs = 0.0;
-        for (std::size_t b = 0; b < dims; ++b) rhs += dr[b] * delta[b];
-        a[r][m] = rhs;
+        a[r][m] = in.rhs[idx[r]];
       }
       // Gaussian elimination with partial pivoting (m <= 4).
       for (std::size_t col = 0; col < m; ++col) {
@@ -231,10 +251,10 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     }
 
     double total = 0.0;
-    for (double weight : w) total += weight;
+    for (std::size_t j = 0; j < k; ++j) total += w[j];
     if (total > config_.lambda_max && total > 0.0) {
       const double scale = config_.lambda_max / total;
-      for (double& weight : w) weight *= scale;
+      for (std::size_t j = 0; j < k; ++j) w[j] *= scale;
       total = config_.lambda_max;
     }
 
@@ -242,7 +262,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t b = 0; b < dims; ++b) {
       double predicted = 0.0;
       for (std::size_t j = 0; j < k; ++j) {
-        predicted += w[j] * pattern_of(members[j])[b];
+        predicted += w[j] * in.patterns[j][b];
       }
       const double r = delta[b] - predicted;
       residual += r * r;
@@ -252,10 +272,21 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t j = 0; j < k; ++j) {
       if (w[j] < 1e-4) residual += config_.size_penalty;
     }
-    lambda_out = total;
-    weights_out = std::move(w);
-    return residual;
+    out.lambda = total;
+    out.residual = residual;
+    return out;
   };
+
+  // pattern . delta for every pool member, and pattern . pattern for the
+  // singleton fits.
+  const std::size_t pool_size = id_pool_.size();
+  std::vector<double> pattern_delta(pool_size);
+  std::vector<double> pattern_norm(pool_size);
+  for (std::size_t n = 0; n < pool_size; ++n) {
+    const double* pattern = patterns_[n].data();
+    pattern_delta[n] = dot(pattern, delta.data(), dims);
+    pattern_norm[n] = dot(pattern, pattern, dims);
+  }
 
   // ---- Reduced candidate pool ---------------------------------------------
   // Order every pool ID by how well it explains the shift on its own (the
@@ -263,52 +294,81 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // alignment score), then keep the strongest plus all constraint-
   // satisfying candidates, capped at config_.search_pool.
   std::vector<std::pair<double, std::size_t>> singles;
-  singles.reserve(id_pool_.size());
-  for (std::size_t n = 0; n < id_pool_.size(); ++n) {
-    double lambda = 0.0;
-    std::vector<double> weights;
-    const double residual = fit({n}, lambda, weights);
-    singles.emplace_back(residual, n);
+  singles.reserve(pool_size);
+  for (std::size_t n = 0; n < pool_size; ++n) {
+    FitInput in;
+    in.k = 1;
+    in.patterns[0] = patterns_[n].data();
+    in.gram[0][0] = pattern_norm[n];
+    in.rhs[0] = pattern_delta[n];
+    singles.emplace_back(fit(in).residual, n);
   }
   std::stable_sort(singles.begin(), singles.end());
 
   std::vector<std::size_t> search_pool;
-  std::set<std::size_t> in_pool;
+  std::vector<bool> in_pool(pool_size, false);
   auto add_to_pool = [&](std::size_t n) {
     if (static_cast<int>(search_pool.size()) >= config_.search_pool) return;
-    if (in_pool.insert(n).second) search_pool.push_back(n);
+    if (!in_pool[n]) {
+      in_pool[n] = true;
+      search_pool.push_back(n);
+    }
   };
   // Constraint-satisfying IDs get priority only when the constraints are
   // informative; an empty constraint set matches everything and must not
   // crowd the pool with low-valued IDs.
   if (!result.constraints.empty()) {
-    for (std::size_t n = 0; n < id_pool_.size(); ++n) {
+    for (std::size_t n = 0; n < pool_size; ++n) {
       if (satisfies(id_pool_[n], result.constraints)) add_to_pool(n);
     }
   }
   for (const auto& [residual, n] : singles) add_to_pool(n);
   std::sort(search_pool.begin(), search_pool.end());
 
+  // pattern . pattern for every pair of search-pool members: at most
+  // search_pool^2 doubles, whatever the size of the legal ID pool.
+  const std::size_t pool_span = search_pool.size();
+  std::vector<double> gram(pool_span * pool_span);
+  for (std::size_t r = 0; r < pool_span; ++r) {
+    const double* pr = patterns_[search_pool[r]].data();
+    gram[r * pool_span + r] = pattern_norm[search_pool[r]];
+    for (std::size_t c = r + 1; c < pool_span; ++c) {
+      const double g = dot(pr, patterns_[search_pool[c]].data(), dims);
+      gram[r * pool_span + c] = g;
+      gram[c * pool_span + r] = g;
+    }
+  }
+
   // ---- Beam search over set sizes -------------------------------------------
   std::vector<Hypothesis> beam;
   std::vector<Hypothesis> best_per_size;  // best hypothesis of each size
   std::vector<Hypothesis> top_sets;       // several best per size
-  std::vector<std::size_t> members;       // scratch
   auto fit_hypothesis = [&](Hypothesis& h) {
-    members.clear();
-    for (std::uint32_t id : h.ids) {
-      const auto it = std::lower_bound(id_pool_.begin(), id_pool_.end(), id);
-      members.push_back(static_cast<std::size_t>(it - id_pool_.begin()));
+    FitInput in;
+    in.k = h.size;
+    for (std::size_t r = 0; r < h.size; ++r) {
+      const std::size_t n = search_pool[h.members[r]];
+      in.patterns[r] = patterns_[n].data();
+      in.rhs[r] = pattern_delta[n];
+      for (std::size_t c = 0; c < h.size; ++c) {
+        in.gram[r][c] = gram[h.members[r] * pool_span + h.members[c]];
+      }
     }
-    h.residual = fit(members, h.lambda, h.weights);
+    const FitOutput out = fit(in);
+    h.weights = out.weights;
+    h.lambda = out.lambda;
+    h.residual = out.residual;
+  };
+  auto id_at = [&](const Hypothesis& h, std::size_t j) {
+    return id_pool_[search_pool[h.members[j]]];
   };
 
-  for (std::size_t pi = 0; pi < search_pool.size(); ++pi) {
+  for (std::size_t pi = 0; pi < pool_span; ++pi) {
     Hypothesis h;
-    h.ids = {id_pool_[search_pool[pi]]};
-    h.last_pool_index = pi;
+    h.members[0] = pi;
+    h.size = 1;
     fit_hypothesis(h);
-    beam.push_back(std::move(h));
+    beam.push_back(h);
   }
   auto shrink_beam = [&](std::vector<Hypothesis>& hs) {
     std::stable_sort(hs.begin(), hs.end(),
@@ -330,21 +390,19 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   shrink_beam(beam);
   harvest(beam);
 
+  std::vector<Hypothesis> next;
   for (int k = 2; k <= config_.max_injected_ids && !beam.empty(); ++k) {
-    std::vector<Hypothesis> next;
+    next.clear();
     for (const Hypothesis& h : beam) {
-      for (std::size_t pi = h.last_pool_index + 1; pi < search_pool.size();
-           ++pi) {
-        Hypothesis grown;
-        grown.ids = h.ids;
-        grown.ids.push_back(id_pool_[search_pool[pi]]);
-        grown.last_pool_index = pi;
+      for (std::size_t pi = h.members[h.size - 1] + 1; pi < pool_span; ++pi) {
+        Hypothesis grown = h;
+        grown.members[grown.size++] = pi;
         fit_hypothesis(grown);
-        next.push_back(std::move(grown));
+        next.push_back(grown);
       }
     }
     shrink_beam(next);
-    beam = std::move(next);
+    std::swap(beam, next);
     harvest(beam);
   }
 
@@ -355,17 +413,17 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t s = 0; s < best_per_size.size(); ++s) {
       const double score =
           best_per_size[s].residual +
-          config_.size_penalty *
-              static_cast<double>(best_per_size[s].ids.size());
+          config_.size_penalty * static_cast<double>(best_per_size[s].size);
       if (score < best_score) {
         best_score = score;
         best_index = s;
       }
     }
     const Hypothesis& chosen = best_per_size[best_index];
-    result.best_set = chosen.ids;
-    std::sort(result.best_set.begin(), result.best_set.end());
-    result.estimated_num_ids = static_cast<int>(chosen.ids.size());
+    for (std::size_t j = 0; j < chosen.size; ++j) {
+      result.best_set.push_back(id_at(chosen, j));
+    }
+    result.estimated_num_ids = static_cast<int>(chosen.size);
     result.estimated_injection_fraction = chosen.lambda;
     result.fit_residual = chosen.residual;
   }
@@ -384,10 +442,9 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     const double scale = std::max(best_residual, 1e-8);
     for (const Hypothesis& h : top_sets) {
       const double quality = std::exp(-(h.residual - best_residual) / scale);
-      for (std::size_t j = 0; j < h.ids.size(); ++j) {
-        const double member_weight =
-            j < h.weights.size() ? std::max(h.weights[j], 0.0) : 0.0;
-        marginal[h.ids[j]] += quality * (1e-3 + member_weight);
+      for (std::size_t j = 0; j < h.size; ++j) {
+        marginal[id_at(h, j)] +=
+            quality * (1e-3 + std::max(h.weights[j], 0.0));
       }
     }
   }

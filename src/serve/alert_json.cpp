@@ -109,7 +109,7 @@ class Parser {
           has_detail = true;
           detail.voters = parse_string_array();
         } else {
-          skip_value();  // forward compatibility
+          skip_value(1);  // forward compatibility
         }
         skip_ws();
         if (try_consume(',')) {
@@ -267,10 +267,14 @@ class Parser {
     }
   }
 
-  /// Skip any JSON value (unknown keys).
-  void skip_value() {
+  /// Skip any JSON value (unknown keys) found inside `depth` open arrays
+  /// and objects.
+  void skip_value(int depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '[' || c == '{') && depth >= util::kMaxJsonDepth) {
+      throw util::JsonDepthError("alert JSONL", pos_);
+    }
     if (c == '"') {
       (void)parse_string();
     } else if (c == '[') {
@@ -278,7 +282,7 @@ class Parser {
       skip_ws();
       if (try_consume(']')) return;
       for (;;) {
-        skip_value();
+        skip_value(depth + 1);
         skip_ws();
         if (try_consume(',')) continue;
         expect(']');
@@ -292,7 +296,7 @@ class Parser {
         (void)parse_string();
         skip_ws();
         expect(':');
-        skip_value();
+        skip_value(depth + 1);
         skip_ws();
         if (try_consume(',')) {
           skip_ws();

@@ -26,7 +26,9 @@ namespace canids::serve {
 [[nodiscard]] std::string to_json_line(const engine::FleetAlert& alert);
 
 /// Parse a line produced by to_json_line (or any key order / unknown-key
-/// superset of the schema). Throws std::runtime_error on malformed input.
+/// superset of the schema). Throws std::runtime_error on malformed input;
+/// util::JsonDepthError (one of those) when unknown values nest deeper
+/// than util::kMaxJsonDepth.
 [[nodiscard]] engine::FleetAlert parse_json_line(std::string_view line);
 
 /// Shared JSON appenders (quotes + escaping; %.17g doubles) — the same

@@ -4,6 +4,11 @@
 
 namespace canids::util {
 
+JsonDepthError::JsonDepthError(std::string_view document, std::size_t offset)
+    : std::runtime_error(std::string(document) + ": nesting deeper than " +
+                         std::to_string(kMaxJsonDepth) + " levels (at offset " +
+                         std::to_string(offset) + ")") {}
+
 void append_json_string(std::string& out, std::string_view value) {
   out.push_back('"');
   for (const char c : value) {

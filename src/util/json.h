@@ -1,13 +1,29 @@
-// Tiny shared JSON rendering helpers. Both JSONL writers in the tree —
-// the serve alert codec and the telemetry event log — append to a
-// std::string and need exactly these two primitives; keeping them here
-// means one escaping implementation to trust.
+// Tiny shared JSON helpers. Both JSONL writers in the tree — the serve
+// alert codec and the telemetry event log — append to a std::string and
+// need exactly these two primitives; keeping them here means one escaping
+// implementation to trust. Both readers — the campaign spec parser and the
+// alert codec — share one nesting limit and its error.
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace canids::util {
+
+/// Deepest array/object nesting a JSON reader in the tree accepts. Every
+/// document the repo reads nests two or three levels; the limit keeps a
+/// hostile file from exhausting the stack of a recursive reader.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Thrown when a JSON document nests deeper than kMaxJsonDepth.
+class JsonDepthError : public std::runtime_error {
+ public:
+  /// `document` names what was being read, `offset` is the byte offset of
+  /// the bracket that went one level too deep.
+  JsonDepthError(std::string_view document, std::size_t offset);
+};
 
 /// Append a JSON string literal (quotes + escaping: `"` `\` control
 /// characters; non-ASCII bytes pass through untouched).

@@ -24,6 +24,15 @@ inline constexpr TimeNs kSecond = 1'000'000'000;
   return us * kMicrosecond;
 }
 
+/// True when from_seconds(s) is defined: `s` is finite and s * kSecond
+/// fits in TimeNs (|s| below about 9.2e9). Seconds read from a command line
+/// or a file are checked with this first.
+[[nodiscard]] constexpr bool seconds_representable(double s) noexcept {
+  const double ns = s * static_cast<double>(kSecond);
+  return ns >= -0x1p63 && ns < 0x1p63;  // false for NaN and infinities
+}
+
+/// Requires seconds_representable(s).
 [[nodiscard]] constexpr TimeNs from_seconds(double s) noexcept {
   return static_cast<TimeNs>(s * static_cast<double>(kSecond));
 }

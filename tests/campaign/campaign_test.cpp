@@ -13,6 +13,7 @@
 #include "metrics/experiment.h"
 #include "model/bundle.h"
 #include "trace/trace_io.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace canids::campaign {
@@ -66,6 +67,37 @@ TEST(CampaignSpecTest, SweepIdsRoundTripAndReplaceScenarios) {
   spec.sweep_ids = {0x101, 0x42A};
   const CampaignSpec restored = CampaignSpec::from_json(spec.to_json());
   EXPECT_EQ(restored.sweep_ids, spec.sweep_ids);
+}
+
+TEST(CampaignSpecTest, FromJsonBoundsNestingDepth) {
+  // 200k unclosed brackets once overflowed the recursive parser's stack.
+  EXPECT_THROW((void)CampaignSpec::from_json(std::string(200'000, '[')),
+               util::JsonDepthError);
+  const std::string nest(util::kMaxJsonDepth, '[');
+  const std::string close(util::kMaxJsonDepth, ']');
+  EXPECT_THROW((void)CampaignSpec::from_json("{\"name\": " + nest + close +
+                                             "}"),
+               util::JsonDepthError);
+  // At the limit the parser recurses fine and the spec check reports the
+  // value's type instead.
+  const std::string at_limit(util::kMaxJsonDepth - 1, '[');
+  const std::string at_limit_close(util::kMaxJsonDepth - 1, ']');
+  EXPECT_THROW((void)CampaignSpec::from_json("{\"name\": " + at_limit +
+                                             at_limit_close + "}"),
+               std::invalid_argument);
+}
+
+TEST(CampaignSpecTest, FromJsonRejectsSecondsBeyondTheClock) {
+  // 1e300 s once reached util::from_seconds's out-of-range cast.
+  for (const char* key : {"lead_in_seconds", "attack_seconds",
+                          "window_seconds"}) {
+    EXPECT_THROW((void)CampaignSpec::from_json(std::string("{\"") + key +
+                                               "\": 1e300}"),
+                 std::invalid_argument)
+        << key;
+  }
+  EXPECT_THROW((void)CampaignSpec::from_json("{\"training_windows\": 1e300}"),
+               std::invalid_argument);
 }
 
 TEST(CampaignSpecTest, FromJsonRejectsMalformedInput) {

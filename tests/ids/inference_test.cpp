@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ids/bit_counters.h"
@@ -307,6 +310,131 @@ TEST(PairInferenceTest, EstimatedSetSizeTracksTruth) {
       {{world.pool()[5], 100}, {world.pool()[25], 100}, {world.pool()[45], 100}},
       9));
   EXPECT_GE(three.estimated_num_ids, 2);
+}
+
+// ---- Exact regression -------------------------------------------------------
+// The fit reuses dot products across hypotheses, yet every double of the
+// result, the fitted residual and lambda included, must equal what the
+// direct per-hypothesis fit produced. The expected results were recorded
+// from that direct fit as hexfloats, so any change in summation order fails
+// here.
+
+/// `r` as the C++ initializer used below (doubles as hexfloats), so a
+/// mismatch prints its own replacement literal.
+std::string to_literal(const InferenceResult& r) {
+  std::ostringstream out;
+  out << std::hexfloat << "InferenceResult{{";
+  for (std::size_t i = 0; i < r.constraints.size(); ++i) {
+    const BitConstraint& c = r.constraints[i];
+    out << (i > 0 ? ", " : "") << "{" << c.bit << ", "
+        << (c.injected_bit ? "true" : "false") << ", " << c.shift << "}";
+  }
+  auto ids = [&out](const std::vector<std::uint32_t>& v) {
+    out << "{";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out << (i > 0 ? ", " : "") << std::dec << v[i];
+    }
+    out << "}" << std::hexfloat;
+  };
+  out << "}, ";
+  ids(r.ranked_candidates);
+  out << ", ";
+  ids(r.best_set);
+  out << ", " << r.estimated_injection_fraction << ", " << std::dec
+      << r.estimated_num_ids << ", " << std::hexfloat << r.fit_residual
+      << "}";
+  return out.str();
+}
+
+struct RegressionCase {
+  std::uint64_t world_seed;
+  bool template_pairs;
+  bool window_pairs;
+  std::map<std::size_t, int> injected;  // pool position -> frames
+  std::uint64_t noise_seed;
+};
+
+TEST(InferenceRegressionTest, ResultsEqualRecordedValuesExactly) {
+  // A 150-ID pool, so the 96-entry search pool is a real reduction.
+  constexpr int kPool = 150;
+  const RegressionCase cases[] = {
+      {7, true, true, {{12, 90}, {70, 90}}, 11},
+      {7, true, true, {{3, 70}, {40, 70}, {120, 70}}, 12},
+      {7, true, true, {{5, 60}, {33, 60}, {90, 60}, {140, 60}}, 13},
+      {8, false, false, {{20, 80}, {100, 80}, {130, 80}}, 14},
+      {7, true, false, {{50, 100}, {60, 100}}, 15},
+      {8, false, false, {{75, 150}}, 16},
+  };
+  const InferenceResult expected[] = {
+      InferenceResult{
+          {{5, true, 0x1.efa512446dap-6},
+           {8, false, -0x1.d5779d4b880dp-6}},
+          {875, 176, 986, 975, 1739, 923,
+           1003, 1547, 906, 995},
+          {176, 875},
+          0x1.18a17506f976dp-4, 2, 0x1.237247877f032p-13},
+      InferenceResult{
+          {{1, false, -0x1.06f835d82ed98p-5},
+           {5, true, 0x1.3a8002bc4101p-5}},
+          {53, 496, 1514, 1895, 1959, 1636,
+           1998, 1910, 2037, 1386},
+          {53, 496, 1514},
+          0x1.47cac6f7ea3fp-4, 3, 0x1.ae8b16ec5d0c3p-13},
+      InferenceResult{
+          {{5, false, -0x1.ca4a9b08062fp-6},
+           {8, true, 0x1.2963c9fc787d8p-5},
+           {9, true, 0x1.6ce5b07c1558p-5},
+           {10, true, 0x1.8613d2653cd1p-6}},
+          {1111, 1799, 411, 110, 267, 263,
+           15, 303, 407, 923},
+          {411, 1111, 1799},
+          0x1.ec81e880e5106p-5, 3, 0x1.1fde41acde23p-8},
+      InferenceResult{
+          {{5, false, -0x1.375d797030fa8p-5},
+           {10, true, 0x1.0237d484b2c9p-5}},
+          {267, 1311, 1745, 1779, 1943, 1791,
+           2014, 2010, 1855, 1994},
+          {267, 1311, 1745},
+          0x1.68b329018ff0cp-4, 3, 0x1.652f1b20100e7p-15},
+      InferenceResult{
+          {{1, true, 0x1.8bff01da4103p-5},
+           {2, false, -0x1.126a31b58887p-5},
+           {4, true, 0x1.5ab2d4d8166f8p-5},
+           {6, true, 0x1.5899e255349f8p-5},
+           {8, false, -0x1.10a0c2ae391ep-5}},
+          {731, 624, 890, 986, 888, 210,
+           857, 792, 923, 889},
+          {624, 731},
+          0x1.4a8368024c6d7p-4, 2, 0x1.900ce2b9d129ap-16},
+      InferenceResult{
+          {{1, true, 0x1.2f26a4b408f98p-5},
+           {2, true, 0x1.c98278162c88p-6},
+           {3, true, 0x1.03985f42f9258p-5},
+           {4, true, 0x1.bf625858d1c5p-6},
+           {5, false, -0x1.a8ffdc127f5cp-6},
+           {7, true, 0x1.d54a16058dc6p-6},
+           {8, true, 0x1.bd15e47f42bp-6},
+           {10, false, -0x1.3a359a09238cp-5}},
+          {988, 1048, 1306, 915, 16, 1802,
+           697, 649, 825, 944},
+          {988},
+          0x1.d8cdce8d0356p-5, 1, 0x1.55b081181215p-16},
+  };
+  ASSERT_EQ(std::size(expected), std::size(cases));
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const RegressionCase& c = cases[i];
+    const InferenceWorld model_world(c.world_seed, kPool, c.template_pairs);
+    const InferenceWorld window_world(c.world_seed, kPool, c.window_pairs);
+    std::map<std::uint32_t, int> injected;
+    for (const auto& [position, frames] : c.injected) {
+      injected[window_world.pool()[position]] = frames;
+    }
+    const InferenceEngine engine(model_world.golden(), model_world.pool());
+    const InferenceResult result =
+        engine.infer(window_world.make_window(injected, c.noise_seed));
+    EXPECT_TRUE(result == expected[i])
+        << "case " << i << " got:\n" << to_literal(result);
+  }
 }
 
 }  // namespace

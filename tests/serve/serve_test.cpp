@@ -36,6 +36,7 @@
 #include "trace/binary_trace.h"
 #include "trace/candump.h"
 #include "trace/log_record.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace canids::serve {
@@ -203,6 +204,24 @@ TEST(AlertJsonTest, ParserToleratesKeyOrderAndUnknownKeys) {
   EXPECT_EQ(parsed.verdict.frames, 10u);
   ASSERT_TRUE(parsed.verdict.detail.has_value());
   EXPECT_EQ(parsed.verdict.detail->alerted_bits, std::vector<int>{2});
+}
+
+TEST(AlertJsonTest, UnknownValuesNestingTooDeepThrowTypedError) {
+  // 200k unclosed brackets under an unknown key once overflowed the
+  // recursive skip_value()'s stack.
+  EXPECT_THROW(
+      parse_json_line("{\"future\": " + std::string(200'000, '[')),
+      util::JsonDepthError);
+  // The top-level object is one level; an unknown value may nest up to
+  // the limit and no deeper.
+  const int inner = util::kMaxJsonDepth - 1;
+  const std::string fits = "{\"future\": " + std::string(inner, '[') +
+                           std::string(inner, ']') + ", \"stream\": \"s\"}";
+  EXPECT_EQ(parse_json_line(fits).stream, "s");
+  const std::string too_deep = "{\"future\": " +
+                               std::string(inner + 1, '[') +
+                               std::string(inner + 1, ']') + "}";
+  EXPECT_THROW(parse_json_line(too_deep), util::JsonDepthError);
 }
 
 TEST(AlertJsonTest, MalformedLinesThrow) {

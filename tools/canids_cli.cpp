@@ -197,6 +197,18 @@ std::optional<double> arg_number(std::vector<std::string>& args,
   return std::nullopt;
 }
 
+/// A seconds-valued flag. Rejects values util::from_seconds cannot convert
+/// (non-finite, or beyond the nanosecond clock's range) before they reach
+/// it.
+std::optional<double> arg_seconds(std::vector<std::string>& args,
+                                  const std::string& flag) {
+  const std::optional<double> seconds = arg_number(args, flag);
+  if (seconds && !util::seconds_representable(*seconds)) {
+    throw UsageError{flag + " expects a finite number of seconds below 9.2e9"};
+  }
+  return seconds;
+}
+
 std::optional<std::string> arg_string(std::vector<std::string>& args,
                                       const std::string& flag) {
   for (std::size_t i = 0; i + 1 < args.size(); ++i) {
@@ -507,7 +519,7 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
     options.pipeline.detector.alpha = *alpha;
     options.muter.alpha = *alpha;
   }
-  if (const auto window = arg_number(args, "--window")) {
+  if (const auto window = arg_seconds(args, "--window")) {
     options.pipeline.window.duration = util::from_seconds(*window);
   }
   if (const auto rank = arg_number(args, "--rank")) {
@@ -628,7 +640,7 @@ int cmd_fleet(const std::string& models_path,
     options.pipeline.detector.alpha = *alpha;
     options.muter.alpha = *alpha;
   }
-  if (const auto window = arg_number(args, "--window")) {
+  if (const auto window = arg_seconds(args, "--window")) {
     options.pipeline.window.duration = util::from_seconds(*window);
   }
   if (const auto calibrate = arg_calibrate(args)) {
@@ -834,7 +846,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     options.pipeline.detector.alpha = *alpha;
     options.muter.alpha = *alpha;
   }
-  if (const auto window = arg_number(args, "--window")) {
+  if (const auto window = arg_seconds(args, "--window")) {
     options.pipeline.window.duration = util::from_seconds(*window);
   }
   if (const auto calibrate = arg_calibrate(args)) {
@@ -1088,7 +1100,7 @@ int cmd_ctl(const std::string& addr, const std::vector<std::string>& words) {
 }
 
 int cmd_simulate(const std::string& out_path, std::vector<std::string> args) {
-  const double seconds = arg_number(args, "--seconds").value_or(20.0);
+  const double seconds = arg_seconds(args, "--seconds").value_or(20.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       arg_number(args, "--seed").value_or(42.0));
   const std::string behavior_name =
@@ -1318,13 +1330,13 @@ int cmd_campaign(std::vector<std::string> args) {
     spec.experiment.pipeline.detector.alpha = *alpha;
     spec.experiment.muter.alpha = *alpha;
   }
-  if (const auto window = arg_number(args, "--window")) {
+  if (const auto window = arg_seconds(args, "--window")) {
     spec.experiment.pipeline.window.duration = util::from_seconds(*window);
   }
-  if (const auto lead_in = arg_number(args, "--lead-in")) {
+  if (const auto lead_in = arg_seconds(args, "--lead-in")) {
     spec.experiment.clean_lead_in = util::from_seconds(*lead_in);
   }
-  if (const auto duration = arg_number(args, "--duration")) {
+  if (const auto duration = arg_seconds(args, "--duration")) {
     spec.experiment.attack_duration = util::from_seconds(*duration);
   }
   if (const auto training = arg_integer(args, "--training-windows", 2, 1000000)) {

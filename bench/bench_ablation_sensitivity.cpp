@@ -13,6 +13,27 @@
 
 using namespace canids;
 
+namespace {
+
+/// Table I aggregation of `trials_per_rate` bit-entropy trials at each
+/// rate, seeded 0..N-1 rate-major.
+metrics::ScenarioSummary scenario_summary(metrics::ExperimentRunner& runner,
+                                          attacks::ScenarioKind kind,
+                                          std::initializer_list<double> rates,
+                                          int trials_per_rate) {
+  std::vector<metrics::InstrumentedTrial> trials;
+  for (const double rate : rates) {
+    for (int t = 0; t < trials_per_rate; ++t) {
+      trials.push_back(
+          runner.run_instrumented_trial("bit-entropy", kind, rate,
+                                        trials.size()));
+    }
+  }
+  return metrics::summarize(kind, trials);
+}
+
+}  // namespace
+
 int main() {
   const util::BenchTimer bench_timer;
   // --- 1. Window length -------------------------------------------------------
@@ -32,8 +53,8 @@ int main() {
       metrics::FrameDetection frames;
       metrics::WindowConfusion windows;
       for (std::uint64_t t = 0; t < 3; ++t) {
-        const metrics::TrialResult trial =
-            runner.run_trial(attacks::ScenarioKind::kSingle, 50.0, t);
+        const metrics::InstrumentedTrial trial = runner.run_instrumented_trial(
+            "bit-entropy", attacks::ScenarioKind::kSingle, 50.0, t);
         frames += trial.frames;
         windows += trial.windows;
       }
@@ -61,10 +82,10 @@ int main() {
       config.seed = 0xAB1A7E;
       config.pipeline.inference.rank = rank;
       metrics::ExperimentRunner runner(config);
-      const metrics::ScenarioSummary single =
-          runner.run_scenario(attacks::ScenarioKind::kSingle, {100.0, 50.0}, 2);
-      const metrics::ScenarioSummary multi3 =
-          runner.run_scenario(attacks::ScenarioKind::kMulti3, {100.0, 50.0}, 2);
+      const metrics::ScenarioSummary single = scenario_summary(
+          runner, attacks::ScenarioKind::kSingle, {100.0, 50.0}, 2);
+      const metrics::ScenarioSummary multi3 = scenario_summary(
+          runner, attacks::ScenarioKind::kMulti3, {100.0, 50.0}, 2);
       table.add_row({std::to_string(rank),
                      single.inference_accuracy
                          ? util::Table::percent(*single.inference_accuracy)
@@ -98,7 +119,7 @@ int main() {
            {attacks::ScenarioKind::kSingle, attacks::ScenarioKind::kMulti2,
             attacks::ScenarioKind::kMulti3, attacks::ScenarioKind::kMulti4}) {
         const metrics::ScenarioSummary summary =
-            runner.run_scenario(kind, {100.0, 50.0}, 2);
+            scenario_summary(runner, kind, {100.0, 50.0}, 2);
         row.push_back(summary.inference_accuracy
                           ? util::Table::percent(*summary.inference_accuracy)
                           : "--");

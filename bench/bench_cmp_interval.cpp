@@ -5,9 +5,10 @@
 //   2. the blind spot: an attacker using an identifier never seen in
 //      training is invisible to the interval method but still shifts the
 //      bit entropy.
-// Every trial goes through ExperimentRunner::run_trial_with — the same
-// unified-backend plumbing the fleet engine and the CLI use — with
-// identical seeds per row, so both detectors judge identical traffic.
+// Every trial goes through ExperimentRunner::run_instrumented_trial — the
+// same unified-backend plumbing the campaigns, the fleet engine and the
+// CLI use — with identical seeds per row, so both detectors judge
+// identical traffic.
 #include <algorithm>
 #include <iostream>
 
@@ -31,6 +32,9 @@ int main() {
   // any busy window) while an actual 100 Hz injection still produces ~100
   // violations per window.
   config.interval.violations_to_alert = 12;
+  // Head-to-head trials: 12 s drives attacked from the first frame.
+  config.clean_lead_in = 0;
+  config.attack_duration = 12 * util::kSecond;
   metrics::ExperimentRunner runner(config);
   (void)runner.train();
   const trace::SyntheticVehicle& vehicle = runner.vehicle();
@@ -65,13 +69,20 @@ int main() {
     }
   }
 
-  const metrics::ComparisonTrial bit_unseen =
-      runner.run_single_id_trial_with("bit-entropy", unseen_id, 100.0, 321, 5);
-  const metrics::ComparisonTrial interval_unseen =
-      runner.run_single_id_trial_with("interval", unseen_id, 100.0, 321, 5);
+  // Only the window counters matter here: closed windows and alerts.
+  const ids::PipelineCounters bit_unseen =
+      runner
+          .run_instrumented_single_id_trial("bit-entropy", unseen_id, 100.0,
+                                            321)
+          .counters;
+  const ids::PipelineCounters interval_unseen =
+      runner
+          .run_instrumented_single_id_trial("interval", unseen_id, 100.0, 321)
+          .counters;
 
   util::Table blind({"detector", "alert windows (of " +
-                                     std::to_string(bit_unseen.windows) + ")",
+                                     std::to_string(bit_unseen.windows_closed) +
+                                     ")",
                      "verdict"});
   blind.add_row({"bit-slice (ours)", std::to_string(bit_unseen.alerts),
                  bit_unseen.alerts > 0 ? "attack detected" : "MISSED"});
@@ -90,13 +101,20 @@ int main() {
   // --- 3. Known-ID speed-up: both should detect --------------------------------
   // Attack with a known legal ID to show the comparison is fair: the
   // baseline does work on its home turf.
-  const metrics::ComparisonTrial bit_known = runner.run_trial_with(
-      "bit-entropy", attacks::ScenarioKind::kSingle, 100.0, 654, 8);
-  const metrics::ComparisonTrial interval_known = runner.run_trial_with(
-      "interval", attacks::ScenarioKind::kSingle, 100.0, 654, 8);
+  const ids::PipelineCounters bit_known =
+      runner
+          .run_instrumented_trial("bit-entropy", attacks::ScenarioKind::kSingle,
+                                  100.0, 654)
+          .counters;
+  const ids::PipelineCounters interval_known =
+      runner
+          .run_instrumented_trial("interval", attacks::ScenarioKind::kSingle,
+                                  100.0, 654)
+          .counters;
 
   util::Table known({"detector", "alert windows (of " +
-                                     std::to_string(bit_known.windows) + ")"});
+                                     std::to_string(bit_known.windows_closed) +
+                                     ")"});
   known.add_row({"bit-slice (ours)", std::to_string(bit_known.alerts)});
   known.add_row({"interval [11]", std::to_string(interval_known.alerts)});
   known.print(std::cout);

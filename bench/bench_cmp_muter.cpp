@@ -5,8 +5,8 @@
 //   3. capability: bit-level inference of the malicious ID, which the
 //      symbol-level detector cannot provide at all.
 // Both detectors face the same attacks through the unified detector-backend
-// API: each head-to-head row is two ExperimentRunner::run_trial_with calls
-// with identical seeds, so the traffic is replayed frame-identically.
+// API: each head-to-head row is two ExperimentRunner::run_instrumented_trial
+// calls with identical seeds, so the traffic is replayed frame-identically.
 #include <chrono>
 #include <iostream>
 #include <unordered_map>
@@ -24,6 +24,9 @@ int main() {
   metrics::ExperimentConfig config;
   config.training_windows = ids::kPaperTrainingWindows;
   config.seed = 0xC38;
+  // Head-to-head trials: 12 s drives attacked from the first frame.
+  config.clean_lead_in = 0;
+  config.attack_duration = 12 * util::kSecond;
   metrics::ExperimentRunner runner(config);
   (void)runner.train();
   const trace::SyntheticVehicle& vehicle = runner.vehicle();
@@ -105,18 +108,19 @@ int main() {
   for (const Case c : {Case{attacks::ScenarioKind::kSingle, 100.0},
                        Case{attacks::ScenarioKind::kMulti2, 50.0},
                        Case{attacks::ScenarioKind::kFlood, 400.0}}) {
-    const metrics::ComparisonTrial bit =
-        runner.run_trial_with("bit-entropy", c.kind, c.frequency, 11);
-    const metrics::ComparisonTrial symbol =
-        runner.run_trial_with("symbol-entropy", c.kind, c.frequency, 11);
+    const metrics::InstrumentedTrial bit =
+        runner.run_instrumented_trial("bit-entropy", c.kind, c.frequency, 11);
+    const metrics::InstrumentedTrial symbol = runner.run_instrumented_trial(
+        "symbol-entropy", c.kind, c.frequency, 11);
     versus.add_row(
         {std::string(attacks::scenario_name(c.kind)),
-         std::to_string(bit.windows),
-         std::to_string(bit.alerts),
-         std::to_string(symbol.alerts),
+         std::to_string(bit.counters.windows_closed),
+         std::to_string(bit.counters.alerts),
+         std::to_string(symbol.counters.alerts),
          c.kind == attacks::ScenarioKind::kFlood
              ? "-- (changeable IDs)"
-             : "hit=" + util::Table::percent(bit.best_inference_hit)});
+             : "hit=" + util::Table::percent(
+                            bit.inference_accuracy.value_or(0.0))});
   }
   versus.print(std::cout);
   std::cout << "expected: comparable alert coverage, but only the bit-slice "

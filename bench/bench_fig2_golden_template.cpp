@@ -24,8 +24,8 @@ int main() {
                      "1 s each, alpha = 5)");
 
   // --- One attacked window for the case-study overlay -----------------------
-  const metrics::TrialResult trial = runner.run_trial(
-      attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
+  const metrics::InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
       /*trial_seed=*/6);
 
   // Re-run a single attacked window manually to get its entropy vector.

@@ -6,7 +6,7 @@
 // The sweep itself is four thin CampaignSpec wrappers over the campaign
 // subsystem (flooding gets its own spec because it uses the high aggregate
 // frequency grid, and the pair-mode extension gets its own pair of specs);
-// trial seeds and aggregation reproduce the historic run_scenario loops
+// trial seeds and aggregation reproduce the historic per-scenario loops
 // exactly, so the numbers match the pre-campaign bench bit for bit — while
 // the trials now fan out over every core.
 //
@@ -80,7 +80,7 @@ std::pair<campaign::CampaignReport, campaign::CampaignReport> run_sweeps(
 }
 
 /// Table I aggregates a scenario over its whole frequency grid.
-campaign::ScenarioRollup rollup_of(
+metrics::ScenarioSummary rollup_of(
     const std::pair<campaign::CampaignReport, campaign::CampaignReport>&
         sweeps,
     attacks::ScenarioKind kind) {
@@ -139,10 +139,10 @@ int main() {
                      "Infer (paper)", "Infer (ours)", "Infer (ours+pairs)",
                      "FPR (ours)", "mean I_r"});
 
-  std::vector<campaign::ScenarioRollup> summaries;
+  std::vector<metrics::ScenarioSummary> summaries;
   for (const PaperRow& row : kPaperRows) {
-    const campaign::ScenarioRollup summary = rollup_of(paper_sweeps, row.kind);
-    const campaign::ScenarioRollup pair_summary =
+    const metrics::ScenarioSummary summary = rollup_of(paper_sweeps, row.kind);
+    const metrics::ScenarioSummary pair_summary =
         rollup_of(pair_sweeps, row.kind);
     summaries.push_back(summary);
     table.add_row(

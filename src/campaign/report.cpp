@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace canids::campaign {
 
@@ -33,21 +34,6 @@ std::string sweep_field(const std::optional<std::uint32_t>& id) {
   return id ? hex_id(*id) : std::string();
 }
 
-/// Did this window overlap the trial's attack interval(s)? The ground
-/// truth every confusion/ROC entry scores against. Synthetic trials carry
-/// one interval [attack_start, attack_end); capture trials carry the
-/// labeled interval list (possibly empty — a clean recording).
-bool window_is_positive(const metrics::InstrumentedTrial& trial,
-                        const metrics::WindowObservation& window) {
-  if (!trial.capture.empty()) {
-    for (const trace::LabelInterval& interval : trial.attack_intervals) {
-      if (interval.overlaps(window.start, window.end)) return true;
-    }
-    return false;
-  }
-  return window.start < trial.attack_end && window.end > trial.attack_start;
-}
-
 /// Scenario column value: capture trials have no synthetic scenario.
 std::string scenario_field(const std::string& capture,
                            attacks::ScenarioKind kind) {
@@ -62,11 +48,11 @@ double f1_of(double precision, double recall) {
 
 std::string json_trial(const metrics::InstrumentedTrial& trial) {
   std::ostringstream out;
-  out << "{\"detector\": \"" << json_escape(trial.backend)
-      << "\", \"scenario\": \""
+  out << "{\"detector\": " << util::json_string(trial.backend)
+      << ", \"scenario\": \""
       << scenario_field(trial.capture, trial.kind) << "\"";
   if (!trial.capture.empty()) {
-    out << ", \"capture\": \"" << json_escape(trial.capture) << "\"";
+    out << ", \"capture\": " << util::json_string(trial.capture);
   }
   if (trial.single_id) out << ", \"sweep_id\": " << *trial.single_id;
   out << ", \"rate_hz\": " << fmt(trial.frequency_hz)
@@ -92,11 +78,11 @@ std::string json_trial(const metrics::InstrumentedTrial& trial) {
 
 std::string json_cell(const CampaignCell& cell) {
   std::ostringstream out;
-  out << "{\"detector\": \"" << json_escape(cell.detector)
-      << "\", \"scenario\": \""
+  out << "{\"detector\": " << util::json_string(cell.detector)
+      << ", \"scenario\": \""
       << scenario_field(cell.capture, cell.kind) << "\"";
   if (!cell.capture.empty()) {
-    out << ", \"capture\": \"" << json_escape(cell.capture) << "\"";
+    out << ", \"capture\": " << util::json_string(cell.capture);
   }
   if (cell.sweep_id) out << ", \"sweep_id\": " << *cell.sweep_id;
   out << ", \"rate_hz\": " << fmt(cell.frequency_hz)
@@ -219,8 +205,9 @@ CampaignReport make_report(CampaignSpec spec,
         const metrics::InstrumentedTrial& trial = report.trials[t];
         for (const metrics::WindowObservation& window : trial.observations) {
           if (!window.evaluated) continue;
-          point.windows.record(window_is_positive(trial, window),
-                               window.score() >= scale);
+          point.windows.record(
+              trial.overlaps_attack(window.start, window.end),
+              window.score() >= scale);
         }
       }
       point.tpr = point.windows.true_positive_rate();
@@ -234,36 +221,16 @@ CampaignReport make_report(CampaignSpec spec,
   return report;
 }
 
-ScenarioRollup CampaignReport::rollup(std::string_view detector,
-                                      attacks::ScenarioKind kind) const {
-  ScenarioRollup rollup;
-  rollup.kind = kind;
-  double injection_sum = 0.0;
-  double inference_hit_sum = 0.0;
-  std::uint64_t inference_windows = 0;
+metrics::ScenarioSummary CampaignReport::rollup(
+    std::string_view detector, attacks::ScenarioKind kind) const {
+  std::vector<metrics::InstrumentedTrial> selected;
   for (const metrics::InstrumentedTrial& trial : trials) {
-    if (trial.backend != detector || trial.kind != kind || trial.single_id ||
-        !trial.capture.empty()) {
-      continue;
+    if (trial.backend == detector && trial.kind == kind && !trial.single_id &&
+        trial.capture.empty()) {
+      selected.push_back(trial);
     }
-    ++rollup.trials;
-    rollup.frames += trial.frames;
-    rollup.windows += trial.windows;
-    injection_sum += trial.injection_rate_arbitration;
-    inference_hit_sum += trial.inference_hit_sum;
-    inference_windows += trial.inference_windows;
   }
-  rollup.detection_rate = rollup.frames.detection_rate();
-  rollup.false_positive_rate = rollup.windows.false_positive_rate();
-  if (rollup.trials > 0) {
-    rollup.mean_injection_rate =
-        injection_sum / static_cast<double>(rollup.trials);
-  }
-  if (inference_windows > 0) {
-    rollup.inference_accuracy =
-        inference_hit_sum / static_cast<double>(inference_windows);
-  }
-  return rollup;
+  return metrics::summarize(kind, selected);
 }
 
 void CampaignReport::write_trials_csv(std::ostream& out) const {

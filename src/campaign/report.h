@@ -65,26 +65,15 @@ struct CampaignCell {
   double auc = 0.0;
 };
 
-/// Scenario-level rollup of one detector across every rate — the Table I
-/// aggregation (frame-weighted over all trials of the scenario).
-struct ScenarioRollup {
-  attacks::ScenarioKind kind{};
-  std::size_t trials = 0;
-  metrics::FrameDetection frames;
-  metrics::WindowConfusion windows;
-  double detection_rate = 0.0;
-  double false_positive_rate = 0.0;
-  double mean_injection_rate = 0.0;
-  std::optional<double> inference_accuracy;
-};
-
 struct CampaignReport {
   CampaignSpec spec;
   std::vector<metrics::InstrumentedTrial> trials;  ///< canonical plan order
   std::vector<CampaignCell> cells;                 ///< canonical cell order
 
-  [[nodiscard]] ScenarioRollup rollup(std::string_view detector,
-                                      attacks::ScenarioKind kind) const;
+  /// Table I rollup of one detector's synthetic scenario trials across
+  /// every rate (single-ID and capture trials are skipped).
+  [[nodiscard]] metrics::ScenarioSummary rollup(
+      std::string_view detector, attacks::ScenarioKind kind) const;
 
   void write_trials_csv(std::ostream& out) const;
   void write_cells_csv(std::ostream& out) const;

@@ -288,32 +288,6 @@ std::vector<std::string> as_string_array(const std::string& key,
 
 }  // namespace
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters (\b, \f, , ...) would make
-          // the emitted report.json unparseable if passed through raw.
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 ShardSelector ShardSelector::parse(std::string_view text) {
   const auto fail = [&] {
     throw std::invalid_argument(
@@ -500,7 +474,7 @@ std::vector<TrialPlan> CampaignSpec::plan() const {
                 static_cast<std::uint64_t>(s);
           } else {
             // Rate-major counter per scenario, matching the historic
-            // run_scenario trial ordering (Table I).
+            // Table I trial ordering (0..N-1 across the rate grid).
             trial.kind = scenarios[a];
             trial.trial_seed =
                 static_cast<std::uint64_t>(r) *
@@ -611,10 +585,10 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
 std::string CampaignSpec::to_json() const {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"name\": \"" << json_escape(name) << "\",\n";
+  out << "  \"name\": " << util::json_string(name) << ",\n";
   out << "  \"detectors\": [";
   for (std::size_t i = 0; i < detectors.size(); ++i) {
-    out << (i ? ", " : "") << '"' << json_escape(detectors[i]) << '"';
+    out << (i ? ", " : "") << util::json_string(detectors[i]);
   }
   out << "],\n";
   if (sweep_ids.empty()) {
@@ -657,14 +631,16 @@ std::string CampaignSpec::to_json() const {
   // train-in-process run of the same spec. (from_json still accepts both
   // keys, so spec files can request a cold start.)
   if (capture_mode()) {
-    out << "  \"capture_dir\": \"" << json_escape(capture_dir) << "\",\n";
+    out << "  \"capture_dir\": " << util::json_string(capture_dir)
+        << ",\n";
     out << "  \"captures\": [";
     for (std::size_t i = 0; i < captures.size(); ++i) {
-      out << (i ? ", " : "") << '"' << json_escape(captures[i]) << '"';
+      out << (i ? ", " : "") << util::json_string(captures[i]);
     }
     out << "],\n";
     if (!labels_path.empty()) {
-      out << "  \"labels_path\": \"" << json_escape(labels_path) << "\",\n";
+      out << "  \"labels_path\": " << util::json_string(labels_path)
+          << ",\n";
     }
   }
   // `workers` is deliberately NOT serialized: it is an execution knob (like

@@ -18,10 +18,6 @@
 
 namespace canids::campaign {
 
-/// JSON string escaping (quotes, backslashes, all control characters) used
-/// by the spec and report emitters.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Short machine-readable scenario token used in specs and report columns
 /// ("flood", "single", ..., "masquerade") — the same vocabulary `canids
 /// simulate --attack` accepts. The token itself lives with the scenario
@@ -160,7 +156,7 @@ struct CampaignSpec {
   /// The full grid in canonical order: detector-major, then scenario (or
   /// sweep ID), then rate, then seed. Trial seeds reproduce the historic
   /// bench orderings: scenario cells use rate-major counters (the Table I
-  /// run_scenario order), sweep cells count per identifier (Fig. 3).
+  /// order), sweep cells count per identifier (Fig. 3).
   [[nodiscard]] std::vector<TrialPlan> plan() const;
 
   /// plan() filtered to the trials the spec's shard selector owns (the

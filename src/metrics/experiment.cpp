@@ -17,33 +17,6 @@ namespace {
   return util::splitmix64(state);
 }
 
-/// Per-frame attack attribution, drained by timestamp as windows close —
-/// the ONE window-assignment rule shared by the synthetic and capture
-/// trial paths (only the is-this-frame-injected predicate differs: the
-/// attacker-node tag there, the labeled interval here). A frame whose
-/// timestamp reaches the window boundary belongs to the next window.
-class InjectionAttribution {
- public:
-  void on_frame(util::TimeNs timestamp, bool injected) {
-    pending_.emplace_back(timestamp, injected);
-  }
-
-  /// Injected-frame count of the window ending at `end` (every remaining
-  /// frame when `final_window`).
-  [[nodiscard]] std::uint64_t drain(util::TimeNs end, bool final_window) {
-    std::uint64_t injected = 0;
-    while (!pending_.empty() &&
-           (final_window || pending_.front().first < end)) {
-      if (pending_.front().second) ++injected;
-      pending_.pop_front();
-    }
-    return injected;
-  }
-
- private:
-  std::deque<std::pair<util::TimeNs, bool>> pending_;
-};
-
 [[nodiscard]] WindowObservation observation_of(
     const analysis::WindowVerdict& verdict, std::uint64_t injected) {
   WindowObservation observation;
@@ -57,6 +30,74 @@ class InjectionAttribution {
   observation.threshold = verdict.threshold;
   return observation;
 }
+
+/// Scores one trial's frames and window verdicts into its
+/// InstrumentedTrial — the ONE scoring routine of the synthetic and capture
+/// paths. The caller says whether each frame was injected (the
+/// attacker-node tag there, a labeled interval here); the trial's own
+/// overlaps_attack() is the window ground truth. Frames are attributed to
+/// windows by timestamp as windows close, so the attribution works for any
+/// backend's frame accounting (including ones that drop frames): a frame
+/// whose timestamp reaches the window boundary belongs to the next window.
+class TrialScorer {
+ public:
+  /// `infer`: score ID inference on alerting windows fully inside the
+  /// attack (the paper's inference events; boundary windows carry only a
+  /// partial injection signature).
+  TrialScorer(InstrumentedTrial& trial, analysis::DetectorBackend& backend,
+              bool infer)
+      : trial_(trial), backend_(backend), infer_(infer) {}
+
+  void on_frame(util::TimeNs timestamp, const can::CanId& id, bool injected) {
+    pending_.emplace_back(timestamp, injected);
+    if (auto verdict = backend_.on_frame(timestamp, id)) {
+      score(*verdict, /*final_window=*/false);
+    }
+  }
+
+  /// Close the trailing window and fill the trial's derived fields.
+  void finish() {
+    if (auto verdict = backend_.finish()) {
+      score(*verdict, /*final_window=*/true);
+    }
+    trial_.detection_rate = trial_.frames.detection_rate();
+    if (trial_.inference_windows > 0) {
+      trial_.inference_accuracy =
+          trial_.inference_hit_sum /
+          static_cast<double>(trial_.inference_windows);
+    }
+    trial_.counters = backend_.counters();
+  }
+
+ private:
+  void score(const analysis::WindowVerdict& verdict, bool final_window) {
+    std::uint64_t injected = 0;
+    while (!pending_.empty() &&
+           (final_window || pending_.front().first < verdict.end)) {
+      if (pending_.front().second) ++injected;
+      pending_.pop_front();
+    }
+    trial_.observations.push_back(observation_of(verdict, injected));
+    if (!verdict.evaluated) return;
+
+    trial_.frames.record_window(injected, verdict.alert);
+    trial_.windows.record(trial_.overlaps_attack(verdict.start, verdict.end),
+                          verdict.alert);
+    const bool inside_attack = verdict.start >= trial_.attack_start &&
+                               verdict.end <= trial_.attack_end;
+    if (infer_ && verdict.alert && inside_attack && verdict.detail &&
+        !trial_.planned_ids.empty()) {
+      trial_.inference_hit_sum += ids::inference_hit_fraction(
+          trial_.planned_ids, verdict.detail->ranked_candidates);
+      ++trial_.inference_windows;
+    }
+  }
+
+  InstrumentedTrial& trial_;
+  analysis::DetectorBackend& backend_;
+  const bool infer_;
+  std::deque<std::pair<util::TimeNs, bool>> pending_;
+};
 
 }  // namespace
 
@@ -86,6 +127,47 @@ std::optional<util::TimeNs> InstrumentedTrial::detection_latency()
     }
   }
   return std::nullopt;
+}
+
+bool InstrumentedTrial::overlaps_attack(util::TimeNs start,
+                                        util::TimeNs end) const noexcept {
+  if (!capture.empty()) {
+    for (const trace::LabelInterval& interval : attack_intervals) {
+      if (interval.overlaps(start, end)) return true;
+    }
+    return false;
+  }
+  return start < attack_end && end > attack_start;
+}
+
+ScenarioSummary summarize(attacks::ScenarioKind kind,
+                          std::span<const InstrumentedTrial> trials) {
+  ScenarioSummary summary;
+  summary.kind = kind;
+  summary.trials = trials.size();
+  double injection_sum = 0.0;
+  double inference_hit_sum = 0.0;
+  std::uint64_t inference_windows = 0;
+  for (const InstrumentedTrial& trial : trials) {
+    summary.frames += trial.frames;
+    summary.windows += trial.windows;
+    injection_sum += trial.injection_rate_arbitration;
+    inference_hit_sum += trial.inference_hit_sum;
+    inference_windows += trial.inference_windows;
+  }
+  summary.detection_rate = summary.frames.detection_rate();
+  summary.false_positive_rate = summary.windows.false_positive_rate();
+  if (summary.trials > 0) {
+    summary.mean_injection_rate =
+        injection_sum / static_cast<double>(summary.trials);
+  }
+  if (inference_windows > 0) {
+    // Per detection event, matching the paper's rank-selection hit rate:
+    // every alerted attack window is one inference attempt.
+    summary.inference_accuracy =
+        inference_hit_sum / static_cast<double>(inference_windows);
+  }
+  return summary;
 }
 
 model::StoredModels SharedModels::stored() const {
@@ -195,60 +277,41 @@ void ExperimentRunner::adopt_models(const SharedModels& models) {
   if (models.interval) interval_model_ = models.interval;
 }
 
-TrialResult ExperimentRunner::run_trial(attacks::ScenarioKind kind,
-                                        double frequency_hz,
-                                        std::uint64_t trial_seed) {
+attacks::AttackConfig ExperimentRunner::attack_config(
+    double frequency_hz) const noexcept {
   attacks::AttackConfig attack_config;
   attack_config.frequency_hz = frequency_hz;
   attack_config.start = config_.clean_lead_in;
   attack_config.stop = config_.clean_lead_in + config_.attack_duration;
+  return attack_config;
+}
 
+InstrumentedTrial ExperimentRunner::run_instrumented_trial(
+    std::string_view backend, attacks::ScenarioKind kind, double frequency_hz,
+    std::uint64_t trial_seed) {
   util::Rng rng(derive_seed(config_.seed, 77 + trial_seed));
-  attacks::BuiltAttack attack =
-      attacks::make_scenario(kind, vehicle_, attack_config, rng);
-  return run_built_attack(std::move(attack), frequency_hz, trial_seed);
+  return run_attack(backend,
+                    attacks::make_scenario(kind, vehicle_,
+                                           attack_config(frequency_hz), rng),
+                    frequency_hz, trial_seed);
 }
 
-TrialResult ExperimentRunner::run_single_id_trial(std::uint32_t id,
-                                                  double frequency_hz,
-                                                  std::uint64_t trial_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  attack_config.start = config_.clean_lead_in;
-  attack_config.stop = config_.clean_lead_in + config_.attack_duration;
-
+InstrumentedTrial ExperimentRunner::run_instrumented_single_id_trial(
+    std::string_view backend, std::uint32_t id, double frequency_hz,
+    std::uint64_t trial_seed) {
   util::Rng rng(derive_seed(config_.seed, 991 + trial_seed));
-  attacks::BuiltAttack attack =
-      attacks::make_single_id_attack(attack_config, id, rng);
-  return run_built_attack(std::move(attack), frequency_hz, trial_seed);
+  InstrumentedTrial trial = run_attack(
+      backend,
+      attacks::make_single_id_attack(attack_config(frequency_hz), id, rng),
+      frequency_hz, trial_seed);
+  trial.single_id = id;
+  return trial;
 }
 
-TrialResult ExperimentRunner::run_built_attack(attacks::BuiltAttack attack,
+InstrumentedTrial ExperimentRunner::run_attack(std::string_view backend_name,
+                                               attacks::BuiltAttack attack,
                                                double frequency_hz,
                                                std::uint64_t trial_seed) {
-  const InstrumentedTrial trial = run_instrumented_attack(
-      "bit-entropy", std::move(attack), frequency_hz, trial_seed);
-
-  TrialResult result;
-  result.kind = trial.kind;
-  result.frequency_hz = trial.frequency_hz;
-  result.planned_ids = trial.planned_ids;
-  result.frames = trial.frames;
-  result.windows = trial.windows;
-  result.detection_rate = trial.detection_rate;
-  result.inference_accuracy = trial.inference_accuracy;
-  result.inference_hit_sum = trial.inference_hit_sum;
-  result.inference_windows = trial.inference_windows;
-  result.injection_rate_arbitration = trial.injection_rate_arbitration;
-  result.injection_rate_success = trial.injection_rate_success;
-  result.injected_transmitted = trial.injected_transmitted;
-  result.bus_load = trial.bus_load;
-  return result;
-}
-
-InstrumentedTrial ExperimentRunner::run_instrumented_attack(
-    std::string_view backend_name, attacks::BuiltAttack attack,
-    double frequency_hz, std::uint64_t trial_seed) {
   InstrumentedTrial result;
   result.backend = std::string(backend_name);
   result.kind = attack.kind;
@@ -272,97 +335,22 @@ InstrumentedTrial ExperimentRunner::run_instrumented_attack(
 
   const std::unique_ptr<analysis::DetectorBackend> backend =
       make_backend(backend_name);
-  const bool supports_inference = backend->describe().supports_inference;
-
-  const util::TimeNs attack_start = result.attack_start;
-  const util::TimeNs attack_end = result.attack_end;
-  const bool inferable = attacks::scenario_inferable(attack.kind);
-
-  // Per frame in bus order: came from the attacker? Drained by timestamp
-  // as windows close, so the attribution works for any backend's frame
-  // accounting (including ones that drop frames).
-  InjectionAttribution attribution;
-
-  auto handle_verdict = [&](const analysis::WindowVerdict& verdict,
-                            bool final_window) {
-    const std::uint64_t injected_in_window =
-        attribution.drain(verdict.end, final_window);
-    result.observations.push_back(observation_of(verdict, injected_in_window));
-    if (!verdict.evaluated) return;
-
-    const bool overlaps_attack =
-        verdict.start < attack_end && verdict.end > attack_start;
-    // Windows straddling the attack boundary carry only a partial injection
-    // signature; the paper's inference events are full attack windows.
-    const bool inside_attack =
-        verdict.start >= attack_start && verdict.end <= attack_end;
-    result.frames.record_window(injected_in_window, verdict.alert);
-    result.windows.record(overlaps_attack, verdict.alert);
-
-    if (verdict.alert && inside_attack && inferable && supports_inference &&
-        verdict.detail && !result.planned_ids.empty()) {
-      result.inference_hit_sum += ids::inference_hit_fraction(
-          result.planned_ids, verdict.detail->ranked_candidates);
-      ++result.inference_windows;
-    }
-  };
-
+  TrialScorer scorer(result, *backend,
+                     attacks::scenario_inferable(attack.kind) &&
+                         backend->describe().supports_inference);
   bus.add_listener([&](const can::TimedFrame& frame) {
-    attribution.on_frame(frame.timestamp,
-                         frame.source_node == attacker_index);
-    if (auto verdict = backend->on_frame(frame.timestamp, frame.frame.id())) {
-      handle_verdict(*verdict, /*final_window=*/false);
-    }
+    scorer.on_frame(frame.timestamp, frame.frame.id(),
+                    frame.source_node == attacker_index);
   });
+  bus.run_until(result.attack_end);
+  scorer.finish();
 
-  bus.run_until(attack_end);
-  if (auto verdict = backend->finish()) {
-    handle_verdict(*verdict, /*final_window=*/true);
-  }
-
-  result.detection_rate = result.frames.detection_rate();
-  if (result.inference_windows > 0) {
-    result.inference_accuracy =
-        result.inference_hit_sum /
-        static_cast<double>(result.inference_windows);
-  }
   result.injection_rate_arbitration =
       attacker->stats().arbitration_win_ratio();
   result.injection_rate_success = attacker->stats().injection_success_ratio();
   result.injected_transmitted = attacker->stats().transmitted;
   result.bus_load = bus.stats().load();
-  result.counters = backend->counters();
   return result;
-}
-
-InstrumentedTrial ExperimentRunner::run_instrumented_trial(
-    std::string_view backend, attacks::ScenarioKind kind, double frequency_hz,
-    std::uint64_t trial_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  attack_config.start = config_.clean_lead_in;
-  attack_config.stop = config_.clean_lead_in + config_.attack_duration;
-
-  util::Rng rng(derive_seed(config_.seed, 77 + trial_seed));
-  return run_instrumented_attack(
-      backend, attacks::make_scenario(kind, vehicle_, attack_config, rng),
-      frequency_hz, trial_seed);
-}
-
-InstrumentedTrial ExperimentRunner::run_instrumented_single_id_trial(
-    std::string_view backend, std::uint32_t id, double frequency_hz,
-    std::uint64_t trial_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  attack_config.start = config_.clean_lead_in;
-  attack_config.stop = config_.clean_lead_in + config_.attack_duration;
-
-  util::Rng rng(derive_seed(config_.seed, 991 + trial_seed));
-  InstrumentedTrial trial = run_instrumented_attack(
-      backend, attacks::make_single_id_attack(attack_config, id, rng),
-      frequency_hz, trial_seed);
-  trial.single_id = id;
-  return trial;
 }
 
 InstrumentedTrial ExperimentRunner::run_capture_trial(
@@ -386,33 +374,18 @@ InstrumentedTrial ExperimentRunner::run_capture_trial(
 
   const std::unique_ptr<analysis::DetectorBackend> backend =
       make_backend(backend_name);
+  // Recorded traffic carries no planned IDs, so there is no inference to
+  // score.
+  TrialScorer scorer(result, *backend, /*infer=*/false);
 
-  // Per frame in capture order: did it fall inside a labeled attack
-  // interval? The label stands in for the attacker-node tag recorded
-  // traffic cannot carry; the window-assignment rule itself is the one the
-  // synthetic trials use (InjectionAttribution).
-  InjectionAttribution attribution;
+  // A frame counts as injected when it falls inside a labeled attack
+  // interval: the label stands in for the attacker-node tag recorded
+  // traffic cannot carry.
   const auto labeled = [&](util::TimeNs timestamp) {
     for (const trace::LabelInterval& interval : attacks) {
       if (interval.contains(timestamp)) return true;
     }
     return false;
-  };
-
-  auto handle_verdict = [&](const analysis::WindowVerdict& verdict,
-                            bool final_window) {
-    const std::uint64_t injected_in_window =
-        attribution.drain(verdict.end, final_window);
-    result.observations.push_back(observation_of(verdict, injected_in_window));
-    if (!verdict.evaluated) return;
-
-    bool overlaps_attack = false;
-    for (const trace::LabelInterval& interval : attacks) {
-      overlaps_attack =
-          overlaps_attack || interval.overlaps(verdict.start, verdict.end);
-    }
-    result.frames.record_window(injected_in_window, verdict.alert);
-    result.windows.record(overlaps_attack, verdict.alert);
   };
 
   // Timestamps are normalized to the capture's first frame before anything
@@ -427,17 +400,9 @@ InstrumentedTrial ExperimentRunner::run_capture_trial(
     if (!frame) break;
     if (!origin) origin = frame->timestamp;
     const util::TimeNs timestamp = frame->timestamp - *origin;
-    attribution.on_frame(timestamp, labeled(timestamp));
-    if (auto verdict = backend->on_frame(timestamp, frame->frame.id())) {
-      handle_verdict(*verdict, /*final_window=*/false);
-    }
+    scorer.on_frame(timestamp, frame->frame.id(), labeled(timestamp));
   }
-  if (auto verdict = backend->finish()) {
-    handle_verdict(*verdict, /*final_window=*/true);
-  }
-
-  result.detection_rate = result.frames.detection_rate();
-  result.counters = backend->counters();
+  scorer.finish();
   return result;
 }
 
@@ -485,18 +450,6 @@ ExperimentRunner::interval_model() {
   return interval_model_;
 }
 
-analysis::DetectorOptions ExperimentRunner::backend_options() {
-  analysis::DetectorOptions options;
-  options.pipeline = config_.pipeline;
-  options.golden = train_shared();
-  options.id_pool = vehicle_.id_pool();
-  options.muter = config_.muter;
-  options.interval = config_.interval;
-  options.muter_model = muter_model();
-  options.interval_model = interval_model();
-  return options;
-}
-
 ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
     std::string_view name) noexcept {
   BackendModelNeeds needs;
@@ -522,111 +475,6 @@ std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::make_backend(
   if (needs.muter) options.muter_model = muter_model();
   if (needs.interval) options.interval_model = interval_model();
   return analysis::make_detector(name, options);
-}
-
-ComparisonTrial ExperimentRunner::run_comparison(std::string_view backend_name,
-                                                 attacks::BuiltAttack attack,
-                                                 double frequency_hz,
-                                                 std::uint64_t vehicle_seed) {
-  ComparisonTrial trial;
-  trial.backend = std::string(backend_name);
-  trial.kind = attack.kind;
-  trial.frequency_hz = frequency_hz;
-  trial.planned_ids = attack.planned_ids;
-
-  can::BusSimulator bus(config_.vehicle.bus);
-  vehicle_.attach_to(bus, trace::DrivingBehavior::kCity, vehicle_seed);
-  attacks::attach_attack(bus, attack);
-
-  const std::unique_ptr<analysis::DetectorBackend> backend =
-      make_backend(backend_name);
-
-  auto handle = [&](const analysis::WindowVerdict& verdict) {
-    if (verdict.alert && verdict.detail && !trial.planned_ids.empty()) {
-      trial.best_inference_hit = std::max(
-          trial.best_inference_hit,
-          ids::inference_hit_fraction(trial.planned_ids,
-                                      verdict.detail->ranked_candidates));
-    }
-  };
-  bus.add_listener([&](const can::TimedFrame& frame) {
-    if (auto verdict = backend->on_frame(frame.timestamp, frame.frame.id())) {
-      handle(*verdict);
-    }
-  });
-  bus.run_until(config_.comparison_duration);
-  if (auto verdict = backend->finish()) handle(*verdict);
-
-  trial.counters = backend->counters();
-  trial.windows = trial.counters.windows_closed;
-  trial.evaluated = trial.counters.windows_evaluated;
-  trial.alerts = trial.counters.alerts;
-  trial.state_bytes = backend->describe().state_bytes;
-  return trial;
-}
-
-ComparisonTrial ExperimentRunner::run_trial_with(
-    std::string_view backend, attacks::ScenarioKind kind, double frequency_hz,
-    std::uint64_t vehicle_seed, std::optional<std::uint64_t> attack_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  util::Rng rng(attack_seed.value_or(vehicle_seed));
-  return run_comparison(
-      backend, attacks::make_scenario(kind, vehicle_, attack_config, rng),
-      frequency_hz, vehicle_seed);
-}
-
-ComparisonTrial ExperimentRunner::run_single_id_trial_with(
-    std::string_view backend, std::uint32_t id, double frequency_hz,
-    std::uint64_t vehicle_seed, std::optional<std::uint64_t> attack_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  util::Rng rng(attack_seed.value_or(vehicle_seed));
-  return run_comparison(
-      backend, attacks::make_single_id_attack(attack_config, id, rng),
-      frequency_hz, vehicle_seed);
-}
-
-ScenarioSummary ExperimentRunner::run_scenario(
-    attacks::ScenarioKind kind, const std::vector<double>& frequencies,
-    int trials_per_frequency) {
-  CANIDS_EXPECTS(!frequencies.empty());
-  CANIDS_EXPECTS(trials_per_frequency >= 1);
-
-  ScenarioSummary summary;
-  summary.kind = kind;
-
-  FrameDetection frames;
-  WindowConfusion windows;
-  double inference_hit_sum = 0.0;
-  std::uint64_t inference_windows = 0;
-  double injection_sum = 0.0;
-
-  std::uint64_t trial_counter = 0;
-  for (double frequency : frequencies) {
-    for (int t = 0; t < trials_per_frequency; ++t) {
-      const TrialResult trial = run_trial(kind, frequency, trial_counter);
-      ++trial_counter;
-      ++summary.trials;
-      frames += trial.frames;
-      windows += trial.windows;
-      injection_sum += trial.injection_rate_arbitration;
-      inference_hit_sum += trial.inference_hit_sum;
-      inference_windows += trial.inference_windows;
-    }
-  }
-
-  summary.detection_rate = frames.detection_rate();
-  summary.false_positive_rate = windows.false_positive_rate();
-  summary.mean_injection_rate =
-      injection_sum / static_cast<double>(summary.trials);
-  if (inference_windows > 0) {
-    // Per detection event, matching the paper's rank-selection hit rate:
-    // every alerted attack window is one inference attempt.
-    summary.inference_accuracy =
-        inference_hit_sum / static_cast<double>(inference_windows);
-  }
-  return summary;
 }
 
 }  // namespace canids::metrics

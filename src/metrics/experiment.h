@@ -1,13 +1,19 @@
 // The reproduction harness: trains the golden template the way the paper
-// does (35 windows over diverse driving behaviours), runs attack trials on
-// the simulated bus, and scores detection rate, inference accuracy, and
-// injection rate. Every bench binary (Fig. 2/3, Table I, ablations) is a
-// thin wrapper over this runner.
+// does (35 windows over diverse driving behaviours) and the two baseline
+// models, then runs trials. Every trial — a synthetic attack on the
+// simulated bus, a single-ID sweep, or a recorded capture — drives one
+// registered detector backend and returns an InstrumentedTrial, scored by
+// one rule set: frame detection rate, window confusion, inference
+// accuracy, injection rate, and the per-window observation log that ROC
+// and latency metrics need. summarize() aggregates the trials of one
+// scenario the way Table I does. Every paper bench (Fig. 2/3, Table I,
+// ablations, the §V.E comparisons) is a thin wrapper over this runner.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,60 +42,13 @@ struct ExperimentConfig {
   /// Master seed; all per-trial randomness derives from it.
   std::uint64_t seed = 0x5EC0DE;
 
-  /// Baseline-detector knobs for the §V.E comparison trials
-  /// (run_trial_with). The models are trained lazily on clean traffic.
+  /// Baseline-detector knobs for the §V.E comparison trials. The models
+  /// are trained lazily on clean traffic.
   baselines::MuterConfig muter;
   baselines::IntervalConfig interval;
   /// Clean traffic recorded per driving behaviour when training a
   /// baseline model.
   util::TimeNs baseline_training_per_behavior = 6 * util::kSecond;
-  /// Bus time of one comparison trial (the CMP benches use 12 s drives).
-  util::TimeNs comparison_duration = 12 * util::kSecond;
-};
-
-/// Outcome of one attack trial.
-struct TrialResult {
-  attacks::ScenarioKind kind{};
-  double frequency_hz = 0.0;
-  std::vector<std::uint32_t> planned_ids;
-
-  FrameDetection frames;          ///< D_r accounting
-  WindowConfusion windows;        ///< window-level confusion incl. FPs
-  double detection_rate = 0.0;    ///< frames.detection_rate()
-  /// Mean hit fraction of ID inference over alerted attack windows
-  /// (nullopt when the scenario is not inferable or nothing alerted).
-  std::optional<double> inference_accuracy;
-  /// Raw inference-event accounting backing inference_accuracy, used by
-  /// ScenarioSummary to weight by detection events as the paper does.
-  double inference_hit_sum = 0.0;
-  std::uint64_t inference_windows = 0;
-
-  double injection_rate_arbitration = 0.0;  ///< wins / arbitration attempts
-  double injection_rate_success = 0.0;      ///< transmitted / generated
-  std::uint64_t injected_transmitted = 0;
-  double bus_load = 0.0;
-};
-
-/// Outcome of one head-to-head comparison trial (§V.E): any registered
-/// detector backend over one attacked 12 s city drive. The same
-/// (vehicle_seed, attack_seed) pair replays the identical bus run, so two
-/// backends' ComparisonTrials are directly comparable — the methodology the
-/// CMP benches previously hand-rolled per baseline.
-struct ComparisonTrial {
-  std::string backend;
-  attacks::ScenarioKind kind{};
-  double frequency_hz = 0.0;
-  std::vector<std::uint32_t> planned_ids;
-
-  std::uint64_t windows = 0;    ///< closed windows (counters.windows_closed)
-  std::uint64_t evaluated = 0;  ///< judged windows
-  std::uint64_t alerts = 0;     ///< alerting windows
-  /// Best inference hit fraction over alerting windows (0 for backends
-  /// without malicious-ID inference).
-  double best_inference_hit = 0.0;
-  /// Live monitoring-state footprint after the run (the storage argument).
-  std::size_t state_bytes = 0;
-  ids::PipelineCounters counters;
 };
 
 /// One closed window as an instrumented trial observed it — enough to
@@ -121,8 +80,8 @@ struct WindowObservation {
                          const WindowObservation&) = default;
 };
 
-/// Outcome of one fully-instrumented campaign trial: any registered backend
-/// over an attacked drive, with the paper-methodology aggregates (frame
+/// Outcome of one trial: any registered backend over an attacked drive or
+/// a recorded capture, with the paper-methodology aggregates (frame
 /// detection rate, window confusion, inference accuracy, injection rate)
 /// PLUS the per-window observation log that ROC and latency metrics need.
 struct InstrumentedTrial {
@@ -143,19 +102,30 @@ struct InstrumentedTrial {
   /// trials, whose single interval is [attack_start, attack_end).
   std::vector<trace::LabelInterval> attack_intervals;
 
-  FrameDetection frames;
-  WindowConfusion windows;
-  double detection_rate = 0.0;
+  FrameDetection frames;          ///< D_r accounting
+  WindowConfusion windows;        ///< window-level confusion incl. FPs
+  double detection_rate = 0.0;    ///< frames.detection_rate()
+  /// Mean hit fraction of ID inference over alerted attack windows
+  /// (nullopt when the scenario is not inferable or nothing alerted).
   std::optional<double> inference_accuracy;
+  /// Raw inference-event accounting backing inference_accuracy, used by
+  /// summarize() to weight by detection events as the paper does.
   double inference_hit_sum = 0.0;
   std::uint64_t inference_windows = 0;
-  double injection_rate_arbitration = 0.0;
-  double injection_rate_success = 0.0;
+  double injection_rate_arbitration = 0.0;  ///< wins / arbitration attempts
+  double injection_rate_success = 0.0;      ///< transmitted / generated
   std::uint64_t injected_transmitted = 0;
   double bus_load = 0.0;
 
   std::vector<WindowObservation> observations;  ///< bus order
   ids::PipelineCounters counters;
+
+  /// Ground truth of a window: does [start, end) overlap the attack? One
+  /// interval [attack_start, attack_end) for synthetic trials, any labeled
+  /// interval for capture trials (none for a clean recording). Trial
+  /// scoring and the campaign ROC sweep both judge windows by it.
+  [[nodiscard]] bool overlaps_attack(util::TimeNs start,
+                                     util::TimeNs end) const noexcept;
 
   /// Window-granularity detection latency: end of the first alerting window
   /// closing after the attack begins, minus the attack start. nullopt when
@@ -164,15 +134,24 @@ struct InstrumentedTrial {
   [[nodiscard]] std::optional<util::TimeNs> detection_latency() const noexcept;
 };
 
-/// Aggregate of several trials of the same scenario.
+/// Aggregate of several trials of the same scenario — the Table I
+/// aggregation.
 struct ScenarioSummary {
   attacks::ScenarioKind kind{};
   std::size_t trials = 0;
+  FrameDetection frames;             ///< summed over trials
+  WindowConfusion windows;           ///< summed over trials
   double detection_rate = 0.0;       ///< frame-weighted across trials
-  std::optional<double> inference_accuracy;  ///< mean over trials with data
+  /// Per inference event (alerted attack window) across trials, as the
+  /// paper's rank-selection hit rate; nullopt when no window was inferred.
+  std::optional<double> inference_accuracy;
   double false_positive_rate = 0.0;  ///< window-level, across trials
   double mean_injection_rate = 0.0;  ///< arbitration view, mean over trials
 };
+
+/// Aggregate `trials` (all of scenario `kind`) into a ScenarioSummary.
+[[nodiscard]] ScenarioSummary summarize(
+    attacks::ScenarioKind kind, std::span<const InstrumentedTrial> trials);
 
 /// Everything an ExperimentRunner trains lazily, bundled as immutable
 /// shared handles. A campaign trains ONE runner and hands the bundle to
@@ -249,24 +228,7 @@ class ExperimentRunner {
     return training_passes_;
   }
 
-  /// Run one attack trial. `trial_seed` individualises the run; the
-  /// driving behaviour is rotated from it.
-  [[nodiscard]] TrialResult run_trial(attacks::ScenarioKind kind,
-                                      double frequency_hz,
-                                      std::uint64_t trial_seed);
-
-  /// Convenience used by the Fig. 3 sweep: a single-ID injection trial
-  /// with a caller-chosen identifier.
-  [[nodiscard]] TrialResult run_single_id_trial(std::uint32_t id,
-                                                double frequency_hz,
-                                                std::uint64_t trial_seed);
-
-  /// Run `trials_per_frequency` trials at each frequency and aggregate.
-  [[nodiscard]] ScenarioSummary run_scenario(
-      attacks::ScenarioKind kind, const std::vector<double>& frequencies,
-      int trials_per_frequency);
-
-  // ---- unified detector-backend trials (§V.E comparisons) -----------------
+  // ---- detector backends ---------------------------------------------------
 
   /// Whole-distribution entropy baseline trained on clean traffic from
   /// every driving behaviour (lazily built, then shared).
@@ -288,48 +250,27 @@ class ExperimentRunner {
   [[nodiscard]] static BackendModelNeeds backend_model_needs(
       std::string_view name) noexcept;
 
-  /// DetectorOptions wired with this runner's golden template, the
-  /// vehicle's id pool, the pipeline config, and both pretrained baseline
-  /// models — make_detector(name, backend_options()) yields a ready
-  /// backend for any registered name.
-  [[nodiscard]] analysis::DetectorOptions backend_options();
-
-  /// Construct a registered backend from backend_options().
+  /// A registered backend wired with this runner's golden template, the
+  /// vehicle's id pool, the pipeline config, and the baseline models the
+  /// name needs (trained on first use).
   [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_backend(
       std::string_view name);
 
-  /// One comparison trial: `backend` over a city drive with the given
-  /// attack scenario injected for the whole run. `attack_seed` defaults to
-  /// `vehicle_seed`; passing the same pair to two backends replays the
-  /// identical traffic.
-  [[nodiscard]] ComparisonTrial run_trial_with(
-      std::string_view backend, attacks::ScenarioKind kind,
-      double frequency_hz, std::uint64_t vehicle_seed,
-      std::optional<std::uint64_t> attack_seed = std::nullopt);
+  // ---- trials ---------------------------------------------------------------
 
-  /// Comparison trial with a caller-chosen injected identifier (the
-  /// unseen-ID blind-spot experiment).
-  [[nodiscard]] ComparisonTrial run_single_id_trial_with(
-      std::string_view backend, std::uint32_t id, double frequency_hz,
-      std::uint64_t vehicle_seed,
-      std::optional<std::uint64_t> attack_seed = std::nullopt);
-
-  // ---- instrumented campaign trials ---------------------------------------
-
-  /// Run one attack trial through any registered backend with full
-  /// per-window instrumentation. Timing, seeding, and scoring mirror
-  /// run_trial exactly, so with backend == "bit-entropy" the aggregate
-  /// numbers are bit-identical to run_trial's TrialResult.
+  /// Run one attack trial through any registered backend: the vehicle
+  /// drives clean for `clean_lead_in`, then the attacker runs for
+  /// `attack_duration`. `trial_seed` individualises the run; the driving
+  /// behaviour is rotated from it.
   [[nodiscard]] InstrumentedTrial run_instrumented_trial(
       std::string_view backend, attacks::ScenarioKind kind,
       double frequency_hz, std::uint64_t trial_seed);
 
-  /// Instrumented single-ID sweep trial (mirrors run_single_id_trial).
+  /// Single-ID sweep trial (Fig. 3): as run_instrumented_trial, injecting
+  /// one caller-chosen identifier.
   [[nodiscard]] InstrumentedTrial run_instrumented_single_id_trial(
       std::string_view backend, std::uint32_t id, double frequency_hz,
       std::uint64_t trial_seed);
-
-  // ---- capture-replay trials ----------------------------------------------
 
   /// Replay a recorded capture through any registered backend instead of
   /// driving the synthetic vehicle. Timestamps are normalized to the
@@ -348,17 +289,12 @@ class ExperimentRunner {
       std::string capture_name, std::uint64_t trial_seed);
 
  private:
-  [[nodiscard]] InstrumentedTrial run_instrumented_attack(
-      std::string_view backend, attacks::BuiltAttack attack,
-      double frequency_hz, std::uint64_t trial_seed);
-  [[nodiscard]] TrialResult run_built_attack(attacks::BuiltAttack attack,
+  [[nodiscard]] attacks::AttackConfig attack_config(
+      double frequency_hz) const noexcept;
+  [[nodiscard]] InstrumentedTrial run_attack(std::string_view backend,
+                                             attacks::BuiltAttack attack,
                                              double frequency_hz,
                                              std::uint64_t trial_seed);
-
-  [[nodiscard]] ComparisonTrial run_comparison(std::string_view backend,
-                                               attacks::BuiltAttack attack,
-                                               double frequency_hz,
-                                               std::uint64_t vehicle_seed);
 
   ExperimentConfig config_;
   trace::SyntheticVehicle vehicle_;

@@ -32,6 +32,12 @@ void append_json_string(std::string& out, std::string_view value) {
   out.push_back('"');
 }
 
+std::string json_string(std::string_view value) {
+  std::string out;
+  append_json_string(out, value);
+  return out;
+}
+
 void append_json_double(std::string& out, double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", value);

@@ -1,8 +1,8 @@
-// Tiny shared JSON helpers. Both JSONL writers in the tree — the serve
-// alert codec and the telemetry event log — append to a std::string and
-// need exactly these two primitives; keeping them here means one escaping
-// implementation to trust. Both readers — the campaign spec parser and the
-// alert codec — share one nesting limit and its error.
+// Tiny shared JSON helpers. Every JSON writer in the tree — the serve
+// alert codec, the telemetry event log, and the campaign spec and report
+// emitters — escapes strings here, so there is one escaping implementation
+// to trust. Both readers — the campaign spec parser and the alert codec —
+// share one nesting limit and its error.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +28,9 @@ class JsonDepthError : public std::runtime_error {
 /// Append a JSON string literal (quotes + escaping: `"` `\` control
 /// characters; non-ASCII bytes pass through untouched).
 void append_json_string(std::string& out, std::string_view value);
+
+/// The same literal as a string, for stream writers.
+[[nodiscard]] std::string json_string(std::string_view value);
 
 /// Append a double with round-trip precision (%.17g). Callers only pass
 /// finite values; "inf"/"nan" are never produced by this codebase.

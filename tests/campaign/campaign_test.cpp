@@ -33,7 +33,9 @@ TEST(CampaignSpecTest, ScenarioTokensRoundTrip) {
 TEST(CampaignSpecTest, JsonRoundTrip) {
   CampaignSpec spec;
   spec.name = "round-trip";
-  spec.detectors = {"bit-entropy", "interval"};
+  // A quote, a backslash and a raw control character survive the trip and
+  // are written with the escapes every JSON writer in the tree uses.
+  spec.detectors = {"bit-entropy", "interval", "odd\"name\\\x01"};
   spec.scenarios = {attacks::ScenarioKind::kWeak,
                     attacks::ScenarioKind::kFlood};
   spec.rates_hz = {75.0, 12.5};
@@ -45,7 +47,9 @@ TEST(CampaignSpecTest, JsonRoundTrip) {
   spec.experiment.pipeline.window.track_pairs = false;
   spec.threshold_scales = {0.0, 0.5, 1.0, 2.0};
 
-  const CampaignSpec restored = CampaignSpec::from_json(spec.to_json());
+  const std::string json = spec.to_json();
+  EXPECT_NE(json.find(R"("odd\"name\\\u0001")"), std::string::npos) << json;
+  const CampaignSpec restored = CampaignSpec::from_json(json);
   EXPECT_EQ(restored.name, spec.name);
   EXPECT_EQ(restored.detectors, spec.detectors);
   EXPECT_EQ(restored.scenarios, spec.scenarios);
@@ -162,7 +166,7 @@ TEST(CampaignSpecTest, PlanSeedsMatchHistoricOrderings) {
   ASSERT_EQ(plan.size(), spec.trial_count());
   ASSERT_EQ(plan.size(), 16u);
 
-  // Scenario cells reuse the run_scenario counter: rate-major per
+  // Scenario cells reuse the historic Table I counter: rate-major per
   // scenario, restarting per scenario — so every detector sees identical
   // traffic for a given (scenario, rate, seed) cell.
   EXPECT_EQ(plan[0].trial_seed, 0u);  // a, single, 100 Hz, seed 0
@@ -221,7 +225,7 @@ metrics::InstrumentedTrial handmade_trial() {
       window(s(4), s(5), true, true, 1.7, 1.0),    // attacked, alerted
       window(s(5), s(6), true, true, 2.4, 1.0),    // attacked, alerted
   };
-  // Native-threshold confusion, as run_instrumented_attack records it.
+  // Native-threshold confusion, as the trial scorer records it.
   for (const metrics::WindowObservation& observation : trial.observations) {
     if (!observation.evaluated) continue;
     trial.windows.record(observation.start < trial.attack_end &&
@@ -746,31 +750,36 @@ TEST(CaptureCampaignTest, RejectsLabelsForUnknownCapturesAndBadDirs) {
   EXPECT_THROW(CampaignRunner{bad_dir}, std::invalid_argument);
 }
 
-TEST(InstrumentedTrialTest, BitEntropyMatchesPaperTrialExactly) {
-  metrics::ExperimentConfig config;
-  config.training_windows = 6;
-  config.attack_duration = 4 * util::kSecond;
-  metrics::ExperimentRunner runner(config);
+TEST(RollupTest, SummarizesOnlyTheDetectorsSyntheticScenarioTrials) {
+  const auto trial = [](std::string backend, std::uint64_t injected) {
+    metrics::InstrumentedTrial t;
+    t.backend = std::move(backend);
+    t.kind = attacks::ScenarioKind::kSingle;
+    t.frames.injected_frames = injected;
+    t.frames.detected_frames = injected;
+    t.injection_rate_arbitration = 0.5;
+    return t;
+  };
+  CampaignReport report;
+  report.trials.push_back(trial("bit-entropy", 10));
+  report.trials.push_back(trial("bit-entropy", 20));
+  report.trials.push_back(trial("interval", 40));
+  report.trials.push_back(trial("bit-entropy", 80));
+  report.trials.back().single_id = 0x101;
+  report.trials.push_back(trial("bit-entropy", 160));
+  report.trials.back().capture = "car-a.log";
+  report.trials.push_back(trial("bit-entropy", 320));
+  report.trials.back().kind = attacks::ScenarioKind::kMulti2;
 
-  const metrics::TrialResult expected =
-      runner.run_trial(attacks::ScenarioKind::kMulti2, 100.0, 1);
-  const metrics::InstrumentedTrial actual = runner.run_instrumented_trial(
-      "bit-entropy", attacks::ScenarioKind::kMulti2, 100.0, 1);
+  const metrics::ScenarioSummary rollup =
+      report.rollup("bit-entropy", attacks::ScenarioKind::kSingle);
+  EXPECT_EQ(rollup.kind, attacks::ScenarioKind::kSingle);
+  EXPECT_EQ(rollup.trials, 2u);
+  EXPECT_EQ(rollup.frames.injected_frames, 30u);
+  EXPECT_DOUBLE_EQ(rollup.mean_injection_rate, 0.5);
 
-  EXPECT_EQ(actual.frames.injected_frames, expected.frames.injected_frames);
-  EXPECT_EQ(actual.frames.detected_frames, expected.frames.detected_frames);
-  EXPECT_EQ(actual.windows.true_positive, expected.windows.true_positive);
-  EXPECT_EQ(actual.windows.false_positive, expected.windows.false_positive);
-  EXPECT_EQ(actual.windows.true_negative, expected.windows.true_negative);
-  EXPECT_EQ(actual.windows.false_negative, expected.windows.false_negative);
-  EXPECT_DOUBLE_EQ(actual.detection_rate, expected.detection_rate);
-  EXPECT_DOUBLE_EQ(actual.inference_hit_sum, expected.inference_hit_sum);
-  EXPECT_EQ(actual.inference_windows, expected.inference_windows);
-  EXPECT_DOUBLE_EQ(actual.injection_rate_arbitration,
-                   expected.injection_rate_arbitration);
-  EXPECT_EQ(actual.injected_transmitted, expected.injected_transmitted);
-  // And the instrumentation is present on top.
-  EXPECT_FALSE(actual.observations.empty());
+  EXPECT_EQ(report.rollup("ensemble", attacks::ScenarioKind::kSingle).trials,
+            0u);
 }
 
 }  // namespace

@@ -213,6 +213,30 @@ TEST(BusSimulatorTest, WellFormedTrafficNeverTripsGuard) {
   EXPECT_GT(bus.stats().frames_transmitted, 900u);
 }
 
+TEST(BusSimulatorTest, FaultHookDrivesOnlyTheVictimBusOff) {
+  BusSimulator bus;
+  auto& victim = bus.emplace_node<PeriodicSender>(
+      "victim", std::vector<MessageSpec>{spec_of(0x123, 5 * kMillisecond)},
+      util::Rng(1));
+  bus.emplace_node<PeriodicSender>(
+      "bystander", std::vector<MessageSpec>{spec_of(0x300, 20 * kMillisecond)},
+      util::Rng(2));
+  // Destroy every second victim attempt: +8 then -1 TEC, still divergent.
+  std::uint64_t attempts = 0;
+  bus.set_fault_hook([&attempts](const TimedFrame& frame) {
+    return frame.frame.id().raw() == 0x123 && (attempts++ % 2) == 0;
+  });
+  bus.run_until(3 * kSecond);
+
+  EXPECT_TRUE(victim.errors().bus_off());
+  EXPECT_TRUE(victim.disabled());
+  EXPECT_EQ(bus.stats().bus_off_events, 1u);
+  EXPECT_GE(bus.stats().error_frames, 32u);
+  const Node& bystander = bus.node(bus.find_node("bystander"));
+  EXPECT_FALSE(bystander.disabled());
+  EXPECT_EQ(bystander.errors().transmit_errors(), 0);
+}
+
 TEST(BusSimulatorTest, FindNodeByName) {
   BusSimulator bus;
   bus.emplace_node<PeriodicSender>(

@@ -14,6 +14,21 @@ namespace {
 using attacks::ScenarioKind;
 using util::kSecond;
 
+/// The Table I aggregation of one scenario: `trials_per_rate` bit-entropy
+/// trials at each rate, seeded 0..N-1 rate-major.
+ScenarioSummary run_scenario(ExperimentRunner& runner, ScenarioKind kind,
+                             std::initializer_list<double> rates,
+                             int trials_per_rate) {
+  std::vector<InstrumentedTrial> trials;
+  for (const double rate : rates) {
+    for (int t = 0; t < trials_per_rate; ++t) {
+      trials.push_back(runner.run_instrumented_trial("bit-entropy", kind, rate,
+                                                     trials.size()));
+    }
+  }
+  return summarize(kind, trials);
+}
+
 class ScenarioDetectionTest
     : public ::testing::TestWithParam<ScenarioKind> {
  public:
@@ -31,7 +46,8 @@ TEST_P(ScenarioDetectionTest, DetectedAtHighFrequency) {
   ExperimentRunner runner(config());
   const ScenarioKind kind = GetParam();
   const double frequency = kind == ScenarioKind::kFlood ? 400.0 : 100.0;
-  const TrialResult trial = runner.run_trial(kind, frequency, 1);
+  const InstrumentedTrial trial =
+      runner.run_instrumented_trial("bit-entropy", kind, frequency, 1);
   EXPECT_GT(trial.frames.injected_frames, 50u)
       << attacks::scenario_name(kind);
   EXPECT_GT(trial.detection_rate, 0.6) << attacks::scenario_name(kind);
@@ -130,7 +146,8 @@ TEST_P(ScenarioDetectionTest, InferableScenariosProduceCandidates) {
   if (!attacks::scenario_inferable(kind)) {
     GTEST_SKIP() << "flooding has no inferable ID set";
   }
-  const TrialResult trial = runner.run_trial(kind, 100.0, 2);
+  const InstrumentedTrial trial =
+      runner.run_instrumented_trial("bit-entropy", kind, 100.0, 2);
   if (trial.detection_rate > 0.0) {
     ASSERT_TRUE(trial.inference_accuracy.has_value());
     EXPECT_GE(*trial.inference_accuracy, 0.0);
@@ -167,9 +184,9 @@ TEST(ScenarioShapeTest, DetectionGrowsWithInjectedIdCount) {
   // Moderate per-ID frequency so single injection is detectable but not
   // saturated; multi-ID trials inject k times the volume.
   const ScenarioSummary single =
-      runner.run_scenario(ScenarioKind::kSingle, {40.0, 20.0}, 2);
+      run_scenario(runner, ScenarioKind::kSingle, {40.0, 20.0}, 2);
   const ScenarioSummary multi4 =
-      runner.run_scenario(ScenarioKind::kMulti4, {40.0, 20.0}, 2);
+      run_scenario(runner, ScenarioKind::kMulti4, {40.0, 20.0}, 2);
   EXPECT_GE(multi4.detection_rate, single.detection_rate - 0.05);
 }
 
@@ -177,9 +194,9 @@ TEST(ScenarioShapeTest, InferenceFallsWithInjectedIdCount) {
   ExperimentConfig config = ScenarioDetectionTest::config();
   ExperimentRunner runner(config);
   const ScenarioSummary single =
-      runner.run_scenario(ScenarioKind::kSingle, {100.0}, 3);
+      run_scenario(runner, ScenarioKind::kSingle, {100.0}, 3);
   const ScenarioSummary multi4 =
-      runner.run_scenario(ScenarioKind::kMulti4, {100.0}, 3);
+      run_scenario(runner, ScenarioKind::kMulti4, {100.0}, 3);
   ASSERT_TRUE(single.inference_accuracy.has_value());
   ASSERT_TRUE(multi4.inference_accuracy.has_value());
   // Table I: 97.2 % (single) vs 69.7 % (four IDs in a rank-10 list).
@@ -190,7 +207,7 @@ TEST(ScenarioShapeTest, WeakAttackerBehavesLikeRestrictedStrong) {
   ExperimentConfig config = ScenarioDetectionTest::config();
   ExperimentRunner runner(config);
   const ScenarioSummary weak =
-      runner.run_scenario(ScenarioKind::kWeak, {100.0, 50.0}, 2);
+      run_scenario(runner, ScenarioKind::kWeak, {100.0, 50.0}, 2);
   EXPECT_GT(weak.detection_rate, 0.6);
   ASSERT_TRUE(weak.inference_accuracy.has_value());
   EXPECT_GT(*weak.inference_accuracy, 0.3);
@@ -200,9 +217,9 @@ TEST(ScenarioShapeTest, LowFrequencyHarderToDetect) {
   ExperimentConfig config = ScenarioDetectionTest::config();
   ExperimentRunner runner(config);
   const ScenarioSummary fast =
-      runner.run_scenario(ScenarioKind::kSingle, {100.0}, 3);
+      run_scenario(runner, ScenarioKind::kSingle, {100.0}, 3);
   const ScenarioSummary slow =
-      runner.run_scenario(ScenarioKind::kSingle, {10.0}, 3);
+      run_scenario(runner, ScenarioKind::kSingle, {10.0}, 3);
   // The paper's N_m = Ir*f*T0 mechanism: fewer injected frames per window
   // shift the entropy less.
   EXPECT_GE(fast.detection_rate, slow.detection_rate - 0.05);

@@ -522,7 +522,8 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
   if (const auto window = arg_seconds(args, "--window")) {
     options.pipeline.window.duration = util::from_seconds(*window);
   }
-  if (const auto rank = arg_number(args, "--rank")) {
+  // The candidate list can never be longer than the 11-bit ID space.
+  if (const auto rank = arg_integer(args, "--rank", 1, 2048)) {
     options.pipeline.inference.rank = static_cast<int>(*rank);
   }
   if (const auto calibrate = arg_calibrate(args)) {
@@ -617,11 +618,11 @@ int cmd_fleet(const std::string& models_path,
   analysis::DetectorOptions options;
   const std::string detector_name =
       arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto shards = arg_number(args, "--shards")) {
+  if (const auto shards = arg_integer(args, "--shards", 0, 4096)) {
     config.shards = static_cast<int>(*shards);
   }
   int producers = 0;
-  if (const auto value = arg_number(args, "--producers")) {
+  if (const auto value = arg_integer(args, "--producers", 0, 4096)) {
     producers = static_cast<int>(*value);
   }
   if (const auto capacity =
@@ -827,7 +828,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   analysis::DetectorOptions options;
   const std::string detector_name =
       arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto shards = arg_number(args, "--shards")) {
+  if (const auto shards = arg_integer(args, "--shards", 0, 4096)) {
     config.shards = static_cast<int>(*shards);
   }
   if (const auto capacity =
@@ -1102,7 +1103,7 @@ int cmd_ctl(const std::string& addr, const std::vector<std::string>& words) {
 int cmd_simulate(const std::string& out_path, std::vector<std::string> args) {
   const double seconds = arg_seconds(args, "--seconds").value_or(20.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(
-      arg_number(args, "--seed").value_or(42.0));
+      arg_integer(args, "--seed", 0, 9007199254740992LL).value_or(42));
   const std::string behavior_name =
       arg_string(args, "--behavior").value_or("city");
   const std::optional<std::string> attack_name = arg_string(args, "--attack");

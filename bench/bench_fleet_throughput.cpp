@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/registry.h"
 #include "engine/fleet_engine.h"
 #include "ids/golden_template.h"
 #include "ids/pipeline.h"
@@ -77,14 +78,16 @@ std::size_t total_frames() {
 }
 
 void BM_Fleet_Throughput(benchmark::State& state) {
-  const auto golden = fleet_template();
+  analysis::DetectorOptions options;
+  options.golden = fleet_template();
   const auto& traffic = fleet_traffic();
   const int shards = static_cast<int>(state.range(0));
 
   for (auto _ : state) {
     engine::FleetConfig config;
     config.shards = shards;
-    engine::FleetEngine fleet(golden, config);
+    engine::FleetEngine fleet(analysis::make_detector("bit-entropy", options),
+                              config);
     std::vector<engine::NamedSource> sources;
     for (int copy = 0; copy < kStreamsPerVehicle; ++copy) {
       for (std::size_t v = 0; v < traffic.size(); ++v) {

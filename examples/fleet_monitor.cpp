@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/registry.h"
 #include "attacks/scenario.h"
 #include "engine/fleet_engine.h"
 #include "metrics/experiment.h"
@@ -65,7 +66,10 @@ int main() {
   // --- 3. Run the fleet ----------------------------------------------------
   engine::FleetConfig config;
   config.shards = 4;
-  engine::FleetEngine fleet(golden, config);
+  analysis::DetectorOptions options;
+  options.golden = golden;
+  engine::FleetEngine fleet(analysis::make_detector("bit-entropy", options),
+                            config);
   fleet.alerts().set_handler([](const engine::FleetAlert& alert) {
     std::printf("[%s @ %4.1fs] ALERT", alert.stream.c_str(),
                 util::to_seconds(alert.verdict.start));

@@ -1,6 +1,5 @@
 #include "campaign/spec.h"
 
-#include <cctype>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -15,214 +14,7 @@ namespace canids::campaign {
 
 namespace {
 
-// ---- minimal JSON ----------------------------------------------------------
-// Campaign specs are flat JSON objects of scalars and scalar arrays; this
-// parser covers the full JSON value grammar anyway so spec files written by
-// other tools round-trip. No dependency, ~100 lines, strict (trailing
-// garbage and malformed literals throw).
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] Json parse() {
-    Json value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("campaign spec JSON: " + what +
-                                " (at offset " + std::to_string(pos_) + ")");
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  Json parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{':
-      case '[': {
-        if (++depth_ > util::kMaxJsonDepth) {
-          throw util::JsonDepthError("campaign spec JSON", pos_);
-        }
-        Json v = c == '{' ? parse_object() : parse_array();
-        --depth_;
-        return v;
-      }
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.type = Json::Type::kBool;
-        v.boolean = c == 't';
-        if (!consume_literal(c == 't' ? "true" : "false")) {
-          fail("bad literal");
-        }
-        return v;
-      }
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Json{};
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      if (peek() != '"') fail("object key must be a string");
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          if (code >= 0xD800 && code <= 0xDFFF) fail("surrogate \\u escape");
-          // UTF-8 encode (specs are ASCII in practice; stay correct anyway).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("unknown escape sequence");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      std::size_t used = 0;
-      Json v;
-      v.type = Json::Type::kNumber;
-      v.number = std::stod(token, &used);
-      if (used != token.size() || token.empty()) throw std::invalid_argument("");
-      return v;
-    } catch (const std::exception&) {
-      fail("malformed number '" + token + "'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;  ///< arrays and objects open at pos_
-};
+using util::JsonValue;
 
 std::string json_number(double value) {
   if (value == std::floor(value) && std::abs(value) < 9.0e15) {
@@ -238,12 +30,19 @@ std::string json_number(double value) {
                               expected);
 }
 
-double as_number(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kNumber) bad_key(key, "a number");
-  return v.number;
+/// `v` as T (see util::JsonValue::get), or bad_key.
+template <class T>
+T as(const std::string& key, const JsonValue& v, const char* expected) {
+  std::optional<T> value = v.get<T>();
+  if (!value) bad_key(key, expected);
+  return std::move(*value);
 }
 
-int as_int(const std::string& key, const Json& v) {
+double as_number(const std::string& key, const JsonValue& v) {
+  return as<double>(key, v, "a number");
+}
+
+int as_int(const std::string& key, const JsonValue& v) {
   const double n = as_number(key, v);
   if (n != std::floor(n) || n < INT_MIN || n > INT_MAX) {
     bad_key(key, "an integer");
@@ -251,7 +50,7 @@ int as_int(const std::string& key, const Json& v) {
   return static_cast<int>(n);
 }
 
-util::TimeNs as_seconds(const std::string& key, const Json& v) {
+util::TimeNs as_seconds(const std::string& key, const JsonValue& v) {
   const double s = as_number(key, v);
   if (!util::seconds_representable(s)) {
     bad_key(key, "a finite number of seconds below 9.2e9");
@@ -259,32 +58,8 @@ util::TimeNs as_seconds(const std::string& key, const Json& v) {
   return util::from_seconds(s);
 }
 
-bool as_bool(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kBool) bad_key(key, "a boolean");
-  return v.boolean;
-}
-
-std::string as_string(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kString) bad_key(key, "a string");
-  return v.string;
-}
-
-std::vector<double> as_number_array(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kArray) bad_key(key, "an array of numbers");
-  std::vector<double> out;
-  out.reserve(v.array.size());
-  for (const Json& item : v.array) out.push_back(as_number(key, item));
-  return out;
-}
-
-std::vector<std::string> as_string_array(const std::string& key,
-                                         const Json& v) {
-  if (v.type != Json::Type::kArray) bad_key(key, "an array of strings");
-  std::vector<std::string> out;
-  out.reserve(v.array.size());
-  for (const Json& item : v.array) out.push_back(as_string(key, item));
-  return out;
-}
+using Strings = std::vector<std::string>;
+using Numbers = std::vector<double>;
 
 }  // namespace
 
@@ -501,20 +276,28 @@ std::vector<TrialPlan> CampaignSpec::sharded_plan() const {
 }
 
 CampaignSpec CampaignSpec::from_json(std::string_view text) {
-  const Json root = JsonParser(text).parse();
-  if (root.type != Json::Type::kObject) {
+  JsonValue root;
+  try {
+    root = util::parse_json(text, "campaign spec JSON");
+  } catch (const util::JsonDepthError&) {
+    throw;
+  } catch (const util::JsonError& e) {
+    throw std::invalid_argument(e.what());
+  }
+  if (root.type != JsonValue::Type::kObject) {
     throw std::invalid_argument("campaign spec: top level must be an object");
   }
 
   CampaignSpec spec;
-  for (const auto& [key, value] : root.object) {
+  for (const auto& [key, value] : root.members) {
     if (key == "name") {
-      spec.name = as_string(key, value);
+      spec.name = as<std::string>(key, value, "a string");
     } else if (key == "detectors") {
-      spec.detectors = as_string_array(key, value);
+      spec.detectors = as<Strings>(key, value, "an array of strings");
     } else if (key == "scenarios") {
       spec.scenarios.clear();
-      for (const std::string& token : as_string_array(key, value)) {
+      for (const std::string& token :
+           as<Strings>(key, value, "an array of strings")) {
         const auto kind = scenario_from_token(token);
         if (!kind) {
           throw std::invalid_argument(
@@ -525,14 +308,14 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
       }
     } else if (key == "sweep_ids") {
       spec.sweep_ids.clear();
-      for (const double id : as_number_array(key, value)) {
+      for (const double id : as<Numbers>(key, value, "an array of numbers")) {
         if (id < 0 || id != std::floor(id) || id > 4294967295.0) {
           bad_key(key, "identifier values (integers < 2^32)");
         }
         spec.sweep_ids.push_back(static_cast<std::uint32_t>(id));
       }
     } else if (key == "rates_hz") {
-      spec.rates_hz = as_number_array(key, value);
+      spec.rates_hz = as<Numbers>(key, value, "an array of numbers");
     } else if (key == "seeds") {
       spec.seeds = as_int(key, value);
     } else if (key == "seed") {
@@ -557,21 +340,22 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
       spec.experiment.pipeline.detector.alpha = as_number(key, value);
       spec.experiment.muter.alpha = as_number(key, value);
     } else if (key == "track_pairs") {
-      spec.experiment.pipeline.window.track_pairs = as_bool(key, value);
+      spec.experiment.pipeline.window.track_pairs =
+          as<bool>(key, value, "a boolean");
     } else if (key == "period_scale") {
       spec.experiment.vehicle.period_scale = as_number(key, value);
     } else if (key == "template_path") {
-      spec.template_path = as_string(key, value);
+      spec.template_path = as<std::string>(key, value, "a string");
     } else if (key == "model_path") {
-      spec.model_path = as_string(key, value);
+      spec.model_path = as<std::string>(key, value, "a string");
     } else if (key == "capture_dir") {
-      spec.capture_dir = as_string(key, value);
+      spec.capture_dir = as<std::string>(key, value, "a string");
     } else if (key == "captures") {
-      spec.captures = as_string_array(key, value);
+      spec.captures = as<Strings>(key, value, "an array of strings");
     } else if (key == "labels_path") {
-      spec.labels_path = as_string(key, value);
+      spec.labels_path = as<std::string>(key, value, "a string");
     } else if (key == "threshold_scales") {
-      spec.threshold_scales = as_number_array(key, value);
+      spec.threshold_scales = as<Numbers>(key, value, "an array of numbers");
     } else if (key == "workers") {
       spec.workers = as_int(key, value);
     } else {

@@ -141,9 +141,10 @@ struct CampaignSpec {
   /// Tiny preset sized for a CI smoke run (seconds, not minutes).
   [[nodiscard]] static CampaignSpec smoke();
 
-  /// Parse a spec from its JSON form. Unknown keys and malformed values
-  /// throw std::invalid_argument — nothing in a spec file is silently
-  /// ignored. Nesting deeper than util::kMaxJsonDepth throws
+  /// Parse a spec from its JSON form with util::parse_json. Malformed
+  /// JSON, unknown keys and malformed values throw std::invalid_argument —
+  /// nothing in a spec file is silently ignored; a repeated key takes its
+  /// last value. Nesting deeper than util::kMaxJsonDepth throws
   /// util::JsonDepthError.
   [[nodiscard]] static CampaignSpec from_json(std::string_view text);
 

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/backends.h"
 #include "util/contracts.h"
 
 namespace canids::engine {
@@ -168,17 +167,6 @@ FleetEngine::FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
         telemetry::pow2_bounds(21));
   }
 }
-
-FleetEngine::FleetEngine(std::shared_ptr<const ids::GoldenTemplate> golden,
-                         FleetConfig config)
-    : FleetEngine(
-          [&]() -> std::unique_ptr<analysis::DetectorBackend> {
-            CANIDS_EXPECTS(golden != nullptr);
-            return std::make_unique<analysis::BitEntropyBackend>(
-                std::move(golden), std::vector<std::uint32_t>{},
-                config.pipeline);
-          }(),
-          config) {}
 
 FleetEngine::FleetEngine(const model::StoredModels& models,
                          std::string_view detector,

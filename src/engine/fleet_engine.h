@@ -64,10 +64,6 @@ struct FleetConfig {
   /// Max frames a worker drains from one stream before rotating to its
   /// next stream (fairness bound under load).
   std::size_t drain_batch = 256;
-  /// IDS configuration applied by the golden-template convenience
-  /// constructor (ignored when a prototype backend is supplied — the
-  /// prototype already carries its configuration).
-  ids::PipelineConfig pipeline;
   /// Retain every WindowVerdict per stream (memory grows with window count;
   /// meant for the determinism tests and small fleets, not production).
   bool collect_verdicts = false;
@@ -155,11 +151,6 @@ class FleetEngine {
   /// instances are stamped out with prototype->clone_for_stream().
   FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
               FleetConfig config = {});
-
-  /// Convenience: the paper's bit-entropy detector against a shared golden
-  /// template, configured by config.pipeline — the pre-redesign signature.
-  explicit FleetEngine(std::shared_ptr<const ids::GoldenTemplate> golden,
-                       FleetConfig config = {});
 
   /// Cold start from persisted models (a loaded bundle): builds the named
   /// registry backend with every model the bundle carries as pretrained

@@ -10,7 +10,7 @@
 //    "bits": [I...], "candidates": [U...], "voters": ["s"...]}
 //
 // Doubles are rendered with %.17g, so parse -> render round-trips to the
-// same bytes; the parser accepts the schema in any key order (and ignores
+// same bytes; the reader accepts the schema in any key order (and ignores
 // unknown keys) for forward compatibility.
 #pragma once
 
@@ -26,9 +26,11 @@ namespace canids::serve {
 [[nodiscard]] std::string to_json_line(const engine::FleetAlert& alert);
 
 /// Parse a line produced by to_json_line (or any key order / unknown-key
-/// superset of the schema). Throws std::runtime_error on malformed input;
-/// util::JsonDepthError (one of those) when unknown values nest deeper
-/// than util::kMaxJsonDepth.
+/// superset of the schema) with util::parse_json; a repeated key takes its
+/// last value. Throws std::runtime_error on text that is not one JSON
+/// object and on a schema field of the wrong type, including an integer
+/// that does not fit its field exactly; util::JsonDepthError (one of
+/// those) when the line nests deeper than util::kMaxJsonDepth.
 [[nodiscard]] engine::FleetAlert parse_json_line(std::string_view line);
 
 /// Shared JSON appenders (quotes + escaping; %.17g doubles) — the same

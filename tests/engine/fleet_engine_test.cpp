@@ -97,6 +97,15 @@ struct FleetWorld {
     return config;
   }
 
+  /// The paper's bit-entropy detector over this world's template.
+  [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> bit_entropy(
+      const PipelineConfig& pipeline = {}) const {
+    analysis::DetectorOptions options;
+    options.golden = golden;
+    options.pipeline = pipeline;
+    return analysis::make_detector("bit-entropy", options);
+  }
+
   /// DetectorOptions driving any registered backend over this world.
   /// Baselines self-calibrate on each stream's first 3 windows.
   [[nodiscard]] analysis::DetectorOptions backend_options() const {
@@ -176,9 +185,8 @@ TEST(FleetEngineTest, TotalsAggregateAllStreams) {
   const FleetWorld world;
   FleetConfig config;
   config.shards = 2;
-  config.pipeline = world.pipeline_config();
 
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   std::vector<NamedSource> sources;
   std::size_t expected_frames = 0;
   for (int v = 0; v < 5; ++v) {
@@ -203,9 +211,8 @@ TEST(FleetEngineTest, AlertSinkSeesOnlyAttackedStreams) {
   const FleetWorld world;
   FleetConfig config;
   config.shards = 4;
-  config.pipeline = world.pipeline_config();
 
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   std::vector<NamedSource> sources;
   sources.push_back(NamedSource{
       "clean",
@@ -257,7 +264,7 @@ TEST(FleetEngineTest, StreamKeysRouteToStableShards) {
   const FleetWorld world;
   FleetConfig config;
   config.shards = 4;
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(), config);
   EXPECT_EQ(engine.shards(), 4);
   for (const std::string key : {"a", "bb", "ccc"}) {
     const int shard = engine.shard_of(key);
@@ -289,8 +296,7 @@ TEST(FleetEngineTest, FatalIngestErrorsAreReportedPerStream) {
 
   FleetConfig config;
   config.shards = 2;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
 
   std::vector<NamedSource> sources;
   sources.push_back(NamedSource{
@@ -340,8 +346,7 @@ TEST(FleetEngineTest, ParseErrorsAreCountedAndIngestRecovers) {
 
   FleetConfig config;
   config.shards = 2;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
 
   const std::vector<can::TimedFrame> frames = world.make_trace(41, 3);
   std::vector<NamedSource> sources;
@@ -372,18 +377,20 @@ TEST(FleetEngineTest, RejectsInvalidQueueAndBatchConfig) {
                                      std::size_t{3}}) {
     FleetConfig config;
     config.queue_capacity = capacity;
-    EXPECT_THROW(FleetEngine(world.golden, config), std::invalid_argument)
+    EXPECT_THROW(FleetEngine(world.bit_entropy(), config),
+                 std::invalid_argument)
         << "queue_capacity " << capacity;
   }
   {
     FleetConfig config;
     config.drain_batch = 0;
-    EXPECT_THROW(FleetEngine(world.golden, config), std::invalid_argument);
+    EXPECT_THROW(FleetEngine(world.bit_entropy(), config),
+                 std::invalid_argument);
   }
   // Power-of-two capacities (including 1) construct fine.
   FleetConfig config;
   config.queue_capacity = 1;
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(), config);
   EXPECT_EQ(engine.config().queue_capacity, 1u);
 }
 
@@ -404,8 +411,7 @@ TEST(FleetEngineTest, TinyQueueAndDrainBatchStillMatchSequential) {
   config.shards = 2;
   config.queue_capacity = 2;
   config.drain_batch = 1;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   std::vector<NamedSource> sources;
   sources.push_back(NamedSource{
       "tiny", std::make_unique<trace::MemorySource>(frames), {}});
@@ -424,9 +430,8 @@ TEST(FleetEngineTest, StreamsOpenedWhileRunningMatchPreStartStreams) {
   const auto run_with = [&](bool open_before_start) {
     FleetConfig config;
     config.shards = 2;
-    config.pipeline = world.pipeline_config();
     config.collect_verdicts = true;
-    FleetEngine engine(world.golden, config);
+    FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
     std::optional<FleetEngine::Stream> stream;
     if (open_before_start) stream = engine.open_stream("veh");
     engine.start();
@@ -475,8 +480,7 @@ TEST(FleetEngineTest, MidWindowDisconnectFlushesFinalPartialWindow) {
   EXPECT_EQ(sequential_windows, 3u);  // 2 full + 1 partial
 
   FleetConfig config;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   engine.start();
   FleetEngine::Stream stream = engine.open_stream("veh");
   for (const can::TimedFrame& frame : frames) {
@@ -492,10 +496,9 @@ TEST(FleetEngineTest, MidWindowDisconnectFlushesFinalPartialWindow) {
 TEST(FleetEngineTest, DropNewestBackpressureCountsDiscardedFrames) {
   const FleetWorld world;
   FleetConfig config;
-  config.pipeline = world.pipeline_config();
   config.queue_capacity = 8;
   config.on_full = BackpressurePolicy::kDropNewest;
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
 
   // Workers not started: the queue cannot drain, so pushes past the ring's
   // usable capacity must be discarded and counted instead of blocking
@@ -574,8 +577,7 @@ TEST(FleetEngineTest, ReloadingIdenticalModelsKeepsVerdictsAndBumpsGeneration) {
 TEST(FleetEngineTest, ReloadRejectsIncompatibleModelsAtomically) {
   const FleetWorld world;
   FleetConfig config;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   engine.start();
   FleetEngine::Stream stream = engine.open_stream("veh");
 
@@ -604,8 +606,7 @@ TEST(FleetEngineTest, StatusReportsLiveCountersAndDrainState) {
   const FleetWorld world;
   const std::vector<can::TimedFrame> frames = world.make_trace(91, 3);
   FleetConfig config;
-  config.pipeline = world.pipeline_config();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   engine.start();
 
   FleetEngine::Stream stream = engine.open_stream("veh-a");
@@ -647,11 +648,10 @@ TEST(FleetEngineTest, TelemetrySamplingDoesNotChangeVerdicts) {
           std::size_t sample) {
         FleetConfig config;
         config.shards = 2;
-        config.pipeline = world.pipeline_config();
         config.collect_verdicts = true;
         config.metrics = std::move(registry);
         config.telemetry_sample = sample;
-        FleetEngine engine(world.golden, config);
+        FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
         FleetEngine::Stream stream = engine.open_stream("veh");
         engine.start();
         for (const can::TimedFrame& frame : frames) {
@@ -684,9 +684,8 @@ TEST(FleetEngineTest, PublishMetricsFoldsStatusIntoRegistry) {
   const std::vector<can::TimedFrame> frames = world.make_trace(81, 4, {2});
 
   FleetConfig config;
-  config.pipeline = world.pipeline_config();
   config.metrics = std::make_shared<telemetry::MetricsRegistry>();
-  FleetEngine engine(world.golden, config);
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
   FleetEngine::Stream stream = engine.open_stream("veh");
   engine.start();
   for (const can::TimedFrame& frame : frames) {

@@ -230,6 +230,15 @@ TEST(AlertJsonTest, MalformedLinesThrow) {
   EXPECT_THROW(parse_json_line("{\"stream\": \"x\"} junk"),
                std::runtime_error);
   EXPECT_THROW(parse_json_line("{\"alert\": maybe}"), std::runtime_error);
+  // Integer fields are converted exactly into their C++ type, never cast;
+  // numbers and whitespace follow RFC 8259.
+  for (const char* line :
+       {"{\"frames\": 1.9}", "{\"frames\": -1}", "{\"start_ns\": 1e3}",
+        "{\"start_ns\": 99999999999999999999999}", "{\"metric\": 1.2.3}",
+        "{\"metric\": -}", "{\"bits\": [99999999999]}",
+        "\v{\"stream\": \"x\"}"}) {
+    EXPECT_THROW(parse_json_line(line), std::runtime_error) << line;
+  }
 }
 
 // ---- the server over a real Unix-domain socket ------------------------------

@@ -656,7 +656,6 @@ int cmd_fleet(const std::string& models_path,
     config.telemetry_sample = static_cast<std::size_t>(*sample);
   }
   reject_leftovers(args);
-  config.pipeline = options.pipeline;
   // A registry exists exactly when something will read it: sampling fills
   // its histograms, --metrics-out dumps its exposition.
   if (metrics_out || config.telemetry_sample > 0) {
@@ -883,7 +882,6 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   }
   const bool quiet = arg_flag(args, "--quiet");
   reject_leftovers(args);
-  config.pipeline = options.pipeline;
   // The daemon always carries a registry — METRICS must answer whether or
   // not latency sampling is on (counters/gauges fold at scrape time).
   config.metrics = std::make_shared<telemetry::MetricsRegistry>();

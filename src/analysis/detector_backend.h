@@ -23,12 +23,8 @@
 
 #include "can/frame.h"
 #include "ids/pipeline.h"
+#include "model/store.h"
 #include "util/time.h"
-
-namespace canids::baselines {
-class MuterEntropyIds;
-class IntervalIds;
-}  // namespace canids::baselines
 
 namespace canids::analysis {
 
@@ -107,14 +103,11 @@ class TrainableBackend {
 };
 
 /// The immutable trained-model set a RUNNING backend can adopt in place —
-/// the hot-reload unit the live fleet service swaps on SIGHUP. Null entries
-/// mean "keep what you have"; each backend takes its slice and ignores the
-/// rest (mirroring DetectorOptions at construction time).
-struct ModelRefs {
-  std::shared_ptr<const ids::GoldenTemplate> golden;
-  std::shared_ptr<const baselines::MuterEntropyIds> muter;
-  std::shared_ptr<const baselines::IntervalIds> interval;
-};
+/// the hot-reload unit the live fleet service swaps on SIGHUP. It is the
+/// set a bundle loads into. Null entries mean "keep what you have"; each
+/// backend takes its slice and ignores the rest (mirroring DetectorOptions
+/// at construction time).
+using ModelRefs = model::StoredModels;
 
 /// Polymorphic detector: feed timestamped identifiers, receive window
 /// verdicts. Single-threaded per instance; share nothing mutable.

@@ -27,7 +27,8 @@ inline constexpr std::string_view kIntervalSection = "interval";
 
 /// The trained models a bundle can carry, as immutable shared handles —
 /// absent entries are null (partial bundles are valid: a capture with too
-/// little clean traffic for an entropy band still yields a template).
+/// little clean traffic for an entropy band still yields a template). It is
+/// also the set a running backend hot-reloads (analysis::ModelRefs).
 struct StoredModels {
   std::shared_ptr<const ids::GoldenTemplate> golden;
   std::shared_ptr<const baselines::MuterEntropyIds> muter;

@@ -460,11 +460,7 @@ std::string ServeServer::do_reload(const std::string& path) {
   try {
     const model::StoredModels models = model::load_models_file(effective);
     if (models.empty()) return "error: bundle holds no models";
-    analysis::ModelRefs refs;
-    refs.golden = models.golden;
-    refs.muter = models.muter;
-    refs.interval = models.interval;
-    engine_.reload_models(refs);
+    engine_.reload_models(models);
   } catch (const std::exception& e) {
     if (events_) {
       events_->emit("reload_error",

@@ -1,4 +1,5 @@
-// canids — command-line front end to the library.
+// canids — command-line front end to the library. print_usage() below is
+// the authoritative list of each command's flags.
 //
 //   canids info <capture>                      summarise a CAN log
 //   canids convert <in> <out> [--to FORMAT]    re-encode a capture
@@ -8,25 +9,19 @@
 //   canids detectors                           list registered detector backends
 //   canids models inspect <bundle>             describe a model bundle
 //   canids detect <models> <capture>           run an IDS over a capture
-//       [--detector NAME] [--alpha A] [--window SECONDS] [--rank N]
-//       [--no-pairs] [--calibrate N]
 //   canids fleet <models> <dir|capture>...     sharded multi-vehicle analysis
-//       [--detector NAME] [--shards N] [--producers N] [--alpha A]
-//       [--window S] [--no-pairs] [--calibrate N] [--quiet]
-//       [--queue-capacity N] [--drain-batch N]
-//   canids serve <models>                      long-running live daemon
-//       [--uds PATH] [--port N] [--control PATH] [--alerts-out FILE]
+//   canids serve <models>                      long-running live daemon:
 //       socket ingest of candump lines -> per-stream detection, JSONL
 //       alert streaming, STATUS/RELOAD/SHUTDOWN control protocol, hot
 //       model reload on SIGHUP without disconnecting streams
-//   canids send <capture> --addr ADDR          replay a capture to a daemon
-//       [--key K] [--speed X]                  paced by recorded timestamps
+//   canids send <capture> --addr ADDR          replay a capture to a daemon,
+//       paced by recorded timestamps
 //   canids ctl <control-socket> <COMMAND...>   one-shot control client
-//   canids simulate <log-out> [--seconds N] [--behavior NAME] [--seed N]
-//       [--attack KIND] [--freq HZ]   KIND: any scenario token (flood,
+//   canids simulate <log-out>                  record the synthetic vehicle,
+//       optionally under attack (--attack: any scenario token — flood,
 //       single, multi2..4, weak, replay, suspend, fuzzing, masquerade)
-//   canids campaign [spec.json] [--smoke] [--out DIR] [grid flags...]
-//       parallel detector x scenario x rate x seed evaluation sweep with
+//   canids campaign [spec.json]                parallel detector x scenario
+//       x rate x seed evaluation sweep with
 //       ROC/AUC + detection-latency reports (CSV + JSON); with
 //       [--captures DIR [--labels CSV]] the grid replays recorded traces
 //       instead of the synthetic vehicle
@@ -222,18 +217,6 @@ std::optional<std::string> arg_string(std::vector<std::string>& args,
   return std::nullopt;
 }
 
-/// --calibrate parses as a double; the backends need a small positive
-/// integer, and a negative/fractional count would otherwise wrap through
-/// the size_t cast into a detector that never finishes calibrating.
-std::optional<std::size_t> arg_calibrate(std::vector<std::string>& args) {
-  const auto value = arg_number(args, "--calibrate");
-  if (!value) return std::nullopt;
-  if (*value < 2.0 || *value != std::floor(*value)) {
-    throw UsageError{"--calibrate expects an integer >= 2 (lead-in windows)"};
-  }
-  return static_cast<std::size_t>(*value);
-}
-
 /// Integer flag with explicit bounds. Fractional or out-of-range values
 /// are rejected loudly (the CLI-hardening contract: a silently truncated
 /// `--seeds 2.7` — or a `--seeds 2^32+1` wrapped through an int cast —
@@ -410,15 +393,100 @@ int cmd_detectors() {
   return 0;
 }
 
-/// Load persisted models — a bundle or a legacy bare golden-template file.
-/// nullopt (after an error message) when the file cannot be read.
+/// Load the persisted models detect, fleet and serve run against — a
+/// bundle or a legacy bare golden-template file. nullopt (after an error
+/// message) when the file cannot be read or has no golden template.
 std::optional<model::StoredModels> load_models(const std::string& path) {
   try {
-    return model::load_models_file(path);
+    model::StoredModels models = model::load_models_file(path);
+    if (models.golden) return models;
+    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
+                 path.c_str());
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "%s\n", e.what());
-    return std::nullopt;
   }
+  return std::nullopt;
+}
+
+/// `--model PATH`, or its legacy spelling `--template PATH`, in place of
+/// the positional models argument of detect, fleet and serve.
+std::optional<std::string> arg_models(std::vector<std::string>& args) {
+  auto path = arg_string(args, "--model");
+  return path ? path : arg_string(args, "--template");
+}
+
+/// --alpha and --window, the paper's two tuning knobs: the band multiplier
+/// α (Th_i = α · range_i, applied to the Müter band as well) and the window
+/// length. A value the detectors would refuse is a usage error here.
+void parse_windowing(std::vector<std::string>& args,
+                     ids::PipelineConfig& pipeline,
+                     baselines::MuterConfig& muter) {
+  if (const auto alpha = arg_number(args, "--alpha")) {
+    if (!std::isfinite(*alpha) || *alpha <= 0.0) {
+      throw UsageError{"--alpha expects a finite number > 0"};
+    }
+    pipeline.detector.alpha = *alpha;
+    muter.alpha = *alpha;
+  }
+  if (const auto window = arg_seconds(args, "--window")) {
+    const util::TimeNs duration = util::from_seconds(*window);
+    if (duration < 1) {
+      throw UsageError{"--window expects a positive number of seconds "
+                       "(at least 1 ns)"};
+    }
+    pipeline.window.duration = duration;
+  }
+}
+
+/// A registry detector name and the options to build it with.
+struct DetectionFlags {
+  std::string detector;
+  analysis::DetectorOptions options;
+};
+
+/// The detection flags detect, fleet and serve share: --detector, the
+/// windowing pair, --calibrate and --no-pairs. The loaded bundle supplies
+/// every pretrained model; a baseline whose model it lacks self-calibrates
+/// on each stream's first windows.
+DetectionFlags parse_detection_flags(std::vector<std::string>& args,
+                                     const model::StoredModels& models) {
+  DetectionFlags flags;
+  flags.detector = arg_string(args, "--detector").value_or("bit-entropy");
+  analysis::DetectorOptions& options = flags.options;
+  options.golden = models.golden;
+  options.muter_model = models.muter;
+  options.interval_model = models.interval;
+  parse_windowing(args, options.pipeline, options.muter);
+  if (const auto calibrate = arg_integer(args, "--calibrate", 2, 1000000)) {
+    options.calibration_windows = static_cast<std::size_t>(*calibrate);
+  }
+  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
+  return flags;
+}
+
+/// The engine flags fleet and serve share.
+engine::FleetConfig parse_engine_flags(std::vector<std::string>& args) {
+  engine::FleetConfig config;
+  if (const auto shards = arg_integer(args, "--shards", 0, 4096)) {
+    config.shards = static_cast<int>(*shards);
+  }
+  if (const auto capacity =
+          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
+    if ((*capacity & (*capacity - 1)) != 0) {
+      throw UsageError{
+          "--queue-capacity expects a power of two (the per-stream SPSC "
+          "ring is mask-indexed)"};
+    }
+    config.queue_capacity = static_cast<std::size_t>(*capacity);
+  }
+  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
+    config.drain_batch = static_cast<std::size_t>(*drain);
+  }
+  if (const auto sample =
+          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
+    config.telemetry_sample = static_cast<std::size_t>(*sample);
+  }
+  return config;
 }
 
 /// Build a backend from the registry, translating an unknown name into the
@@ -501,35 +569,11 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
                std::vector<std::string> args) {
   const auto models = load_models(models_path);
   if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
-
-  analysis::DetectorOptions options;
-  options.golden = models->golden;
-  // Bundled baseline models run pretrained; absent ones self-calibrate on
-  // the capture's first windows exactly as before.
-  options.muter_model = models->muter;
-  options.interval_model = models->interval;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_seconds(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
+  auto [detector_name, options] = parse_detection_flags(args, *models);
   // The candidate list can never be longer than the 11-bit ID space.
   if (const auto rank = arg_integer(args, "--rank", 1, 2048)) {
     options.pipeline.inference.rank = static_cast<int>(*rank);
   }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   reject_leftovers(args);
 
   auto [frames, parse_errors] = read_capture_lenient(capture_path);
@@ -608,53 +652,15 @@ int cmd_fleet(const std::string& models_path,
               std::vector<std::string> args) {
   const auto models = load_models(models_path);
   if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
-
-  engine::FleetConfig config;
-  analysis::DetectorOptions options;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto shards = arg_integer(args, "--shards", 0, 4096)) {
-    config.shards = static_cast<int>(*shards);
-  }
+  const auto [detector_name, options] = parse_detection_flags(args, *models);
+  engine::FleetConfig config = parse_engine_flags(args);
   int producers = 0;
   if (const auto value = arg_integer(args, "--producers", 0, 4096)) {
     producers = static_cast<int>(*value);
   }
-  if (const auto capacity =
-          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
-    if ((*capacity & (*capacity - 1)) != 0) {
-      throw UsageError{
-          "--queue-capacity expects a power of two (the per-stream SPSC "
-          "ring is mask-indexed)"};
-    }
-    config.queue_capacity = static_cast<std::size_t>(*capacity);
-  }
-  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
-    config.drain_batch = static_cast<std::size_t>(*drain);
-  }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_seconds(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   const bool quiet = arg_flag(args, "--quiet");
   const auto alerts_out = arg_string(args, "--alerts-out");
   const auto metrics_out = arg_string(args, "--metrics-out");
-  if (const auto sample =
-          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
-    config.telemetry_sample = static_cast<std::size_t>(*sample);
-  }
   reject_leftovers(args);
   // A registry exists exactly when something will read it: sampling fills
   // its histograms, --metrics-out dumps its exposition.
@@ -682,19 +688,8 @@ int cmd_fleet(const std::string& models_path,
     return 66;
   }
 
-  // Cold start straight from the persisted models: the engine overlays the
-  // bundle's golden/muter/interval onto the options and builds the
-  // registry backend — no stream trains a model the bundle already has.
-  std::unique_ptr<engine::FleetEngine> fleet_holder;
-  try {
-    fleet_holder = std::make_unique<engine::FleetEngine>(
-        *models, detector_name, options, config);
-  } catch (const analysis::UnknownDetectorError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    cmd_detectors();
-    throw UsageError{"--detector expects a registered detector name"};
-  }
-  engine::FleetEngine& fleet = *fleet_holder;
+  engine::FleetEngine fleet(make_backend_or_usage(detector_name, options),
+                            config);
   // Streaming handler instead of retained alerts: long runs stay at
   // constant memory. Shard workers call it concurrently, so the JSONL
   // sink is mutex-guarded.
@@ -817,42 +812,8 @@ extern "C" void serve_signal_handler(int signum) {
 int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   const auto models = load_models(models_path);
   if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
-
-  engine::FleetConfig config;
-  analysis::DetectorOptions options;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto shards = arg_integer(args, "--shards", 0, 4096)) {
-    config.shards = static_cast<int>(*shards);
-  }
-  if (const auto capacity =
-          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
-    if ((*capacity & (*capacity - 1)) != 0) {
-      throw UsageError{
-          "--queue-capacity expects a power of two (the per-stream SPSC "
-          "ring is mask-indexed)"};
-    }
-    config.queue_capacity = static_cast<std::size_t>(*capacity);
-  }
-  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
-    config.drain_batch = static_cast<std::size_t>(*drain);
-  }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_seconds(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
+  const auto [detector_name, options] = parse_detection_flags(args, *models);
+  engine::FleetConfig config = parse_engine_flags(args);
   const std::string on_full =
       arg_string(args, "--on-full").value_or("block");
   if (on_full == "block") {
@@ -876,10 +837,6 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     serve_config.max_line = static_cast<std::size_t>(*max_line);
   }
   const auto events_out = arg_string(args, "--events-out");
-  if (const auto sample =
-          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
-    config.telemetry_sample = static_cast<std::size_t>(*sample);
-  }
   const bool quiet = arg_flag(args, "--quiet");
   reject_leftovers(args);
   // The daemon always carries a registry — METRICS must answer whether or
@@ -896,17 +853,8 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
         "serve needs at least one data listener: --uds PATH and/or --port N"};
   }
 
-  std::unique_ptr<engine::FleetEngine> fleet_holder;
-  try {
-    fleet_holder = std::make_unique<engine::FleetEngine>(
-        *models, detector_name, options, config);
-  } catch (const analysis::UnknownDetectorError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    cmd_detectors();
-    throw UsageError{"--detector expects a registered detector name"};
-  }
-  engine::FleetEngine& fleet = *fleet_holder;
-
+  engine::FleetEngine fleet(make_backend_or_usage(detector_name, options),
+                            config);
   serve::ServeServer server(fleet, serve_config);
   if (!quiet) {
     if (!serve_config.uds_path.empty()) {
@@ -1325,13 +1273,7 @@ int cmd_campaign(std::vector<std::string> args) {
   if (const auto seed = arg_integer(args, "--seed", 0, 9007199254740992LL)) {
     spec.experiment.seed = static_cast<std::uint64_t>(*seed);
   }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    spec.experiment.pipeline.detector.alpha = *alpha;
-    spec.experiment.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_seconds(args, "--window")) {
-    spec.experiment.pipeline.window.duration = util::from_seconds(*window);
-  }
+  parse_windowing(args, spec.experiment.pipeline, spec.experiment.muter);
   if (const auto lead_in = arg_seconds(args, "--lead-in")) {
     spec.experiment.clean_lead_in = util::from_seconds(*lead_in);
   }
@@ -1489,10 +1431,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (command == "detect") {
-      // `--model PATH` (or the legacy spelling `--template PATH`) replaces
-      // the positional models argument.
-      auto tpl = arg_string(args, "--model");
-      if (!tpl) tpl = arg_string(args, "--template");
+      const auto tpl = arg_models(args);
       if (tpl && !args.empty()) {
         if (args[0].rfind("--", 0) == 0) {
           throw UsageError{"with --model/--template, the capture path must "
@@ -1506,8 +1445,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (command == "fleet" && !args.empty()) {
-      auto template_flag = arg_string(args, "--model");
-      if (!template_flag) template_flag = arg_string(args, "--template");
+      const auto template_flag = arg_models(args);
       std::string tpl;
       std::size_t first_input = 0;
       if (template_flag) {
@@ -1537,9 +1475,7 @@ int main(int argc, char** argv) {
       return cmd_fleet(tpl, inputs, std::move(flags));
     }
     if (command == "serve") {
-      auto model_flag = arg_string(args, "--model");
-      if (!model_flag) model_flag = arg_string(args, "--template");
-      if (model_flag) {
+      if (const auto model_flag = arg_models(args)) {
         return cmd_serve(*model_flag, std::move(args));
       }
       if (!args.empty() && args[0].rfind("--", 0) != 0) {

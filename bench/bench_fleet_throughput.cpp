@@ -1,15 +1,18 @@
-// FLEET — aggregate detection throughput of the sharded engine vs. shard
-// count, against the single-pipeline sequential baseline. The paper's
+// FLEET — aggregate detection throughput of a run_fleet batch replay vs.
+// shard count (16 streams, never fewer than the threads, so run_fleet
+// judges inline on one producer thread per shard), against the
+// single-pipeline sequential baseline. The paper's
 // detector keeps 11 counters per stream, so the per-frame work is tiny and
-// the question is how well the shard fan-out turns cores into frames/sec.
+// the question is how well the fan-out turns cores into frames/sec.
 //
 //   ./bench_fleet_throughput
 //
-// Items processed = frames pushed through the full ingest -> window ->
-// detect path. Shard counts above the machine's core count cannot add
+// Items processed = frames through the full ingest -> window -> detect
+// path. Shard counts above the machine's core count cannot add
 // speed-up; run on a multi-core host to see the scaling curve.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,18 +116,33 @@ BENCHMARK(BM_Fleet_Throughput)
     ->Unit(benchmark::kMillisecond);
 
 /// Baseline: the pre-engine model — one pipeline at a time, one thread.
+/// It judges the same blocks the engine does (FleetConfig::drain_batch
+/// TimedIds per on_frames call, built from the frames inside the timed
+/// loop like the engine's fill), so the engine/baseline ratio measures the
+/// engine and not a per-frame vs. batched scoring gap.
 void BM_Sequential_Baseline(benchmark::State& state) {
   const auto golden = fleet_template();
   const auto& traffic = fleet_traffic();
+  const std::size_t block_size = engine::FleetConfig{}.drain_batch;
 
+  std::vector<can::TimedId> block;
+  block.reserve(block_size);
+  std::vector<ids::WindowReport> reports;
   for (auto _ : state) {
     std::uint64_t windows = 0;
     for (int copy = 0; copy < kStreamsPerVehicle; ++copy) {
       for (const auto& trace : traffic) {
         ids::IdsPipeline pipeline(golden, {}, ids::PipelineConfig{});
-        for (const can::TimedFrame& frame : trace) {
-          benchmark::DoNotOptimize(
-              pipeline.on_frame(frame.timestamp, frame.frame.id()));
+        for (std::size_t at = 0; at < trace.size(); at += block_size) {
+          const std::size_t end = std::min(trace.size(), at + block_size);
+          block.clear();
+          for (std::size_t i = at; i < end; ++i) {
+            block.push_back(can::TimedId{trace[i].timestamp,
+                                         trace[i].frame.id()});
+          }
+          reports.clear();
+          pipeline.on_frames(block.data(), block.size(), reports);
+          benchmark::DoNotOptimize(reports.data());
         }
         pipeline.finish();
         windows += pipeline.counters().windows_closed;

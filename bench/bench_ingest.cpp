@@ -2,14 +2,17 @@
 // recorded trace into the per-bit counters. Two axes:
 //
 //   * format — candump text (parsed line by line) vs. the compact binary
-//     trace format (fixed 22-byte records decoded without text parsing);
+//     trace format (fixed 22-byte records decoded without text parsing),
+//     the latter both as full frames (fill) and as the (timestamp, id)
+//     blocks the fleet engine's batch replay reads (fill_ids);
 //   * kernel — the scalar lane counters vs. the runtime-dispatched
 //     SSE2/AVX2 batch kernels behind BitCounters::add_batch.
 //
 //   ./bench_ingest
 //
 // Emits BENCH_ingest.json for the CI bench-trajectory artifact. The SHAPE
-// verdict requires the binary round trip to be lossless, every kernel to
+// verdict requires the binary round trip to be lossless, the id-block read
+// to yield exactly the fill path's timestamps and IDs, every kernel to
 // produce identical counters, and binary ingest to beat text by >= 5x
 // (the acceptance bar: decoding fixed records must dominate re-parsing
 // hex text).
@@ -59,6 +62,18 @@ std::uint64_t drain_count(trace::TraceSource& source,
   for (;;) {
     buffer.clear();
     if (source.fill(buffer, 4096) == 0) break;
+    frames += buffer.size();
+  }
+  return frames;
+}
+
+/// Drain a source through the id-block fill_ids() path, counting frames.
+std::uint64_t drain_id_count(trace::TraceSource& source,
+                             std::vector<can::TimedId>& buffer) {
+  std::uint64_t frames = 0;
+  for (;;) {
+    buffer.clear();
+    if (source.fill_ids(buffer, 4096) == 0) break;
     frames += buffer.size();
   }
   return frames;
@@ -116,7 +131,32 @@ int main() {
     trace::BinaryTraceSource source(in);
     return drain_count(source, buffer);
   });
+  std::vector<can::TimedId> id_buffer;
+  id_buffer.reserve(4096);
+  const double binary_ids_fps = measure_fps([&] {
+    std::istringstream in(binary);
+    trace::BinaryTraceSource source(in);
+    return drain_id_count(source, id_buffer);
+  });
   const double binary_vs_text = text_fps > 0.0 ? binary_fps / text_fps : 0.0;
+
+  // The id-block read must be the fill path minus the payload.
+  bool ids_match = false;
+  {
+    std::istringstream fill_in(binary);
+    const std::vector<can::TimedFrame> frames =
+        trace::BinaryTraceSource(fill_in).drain();
+    std::istringstream ids_in(binary);
+    trace::BinaryTraceSource source(ids_in);
+    std::vector<can::TimedId> ids;
+    while (source.fill_ids(ids, 4096) > 0) {
+    }
+    ids_match = ids.size() == frames.size();
+    for (std::size_t i = 0; ids_match && i < ids.size(); ++i) {
+      ids_match = ids[i].timestamp == frames[i].timestamp &&
+                  ids[i].id == frames[i].frame.id();
+    }
+  }
 
   // Kernel axis: the same ID block through BitCounters::add_batch at every
   // SIMD level this build + CPU can run. Checksums must agree exactly.
@@ -163,6 +203,10 @@ int main() {
   std::snprintf(value, sizeof value, "%.0f", binary_fps);
   std::snprintf(ratio, sizeof ratio, "%.2fx", binary_vs_text);
   table.add_row({"binary ingest", value, ratio});
+  std::snprintf(value, sizeof value, "%.0f", binary_ids_fps);
+  std::snprintf(ratio, sizeof ratio, "%.2fx",
+                text_fps > 0.0 ? binary_ids_fps / text_fps : 0.0);
+  table.add_row({"binary ingest, id blocks", value, ratio});
   for (const util::SimdLevel level :
        {util::SimdLevel::kScalar, util::SimdLevel::kSse2,
         util::SimdLevel::kAvx2}) {
@@ -189,14 +233,19 @@ int main() {
        {"text_fps", text_fps},
        {"binary_fps", binary_fps},
        {"binary_vs_text", binary_vs_text},
+       {"binary_ids_fps", binary_ids_fps},
        {"kernel_scalar_fps", kernel_fps[0]},
        {"kernel_sse2_fps", kernel_fps[1]},
        {"kernel_avx2_fps", kernel_fps[2]},
        {"kernel_best_vs_scalar", best_vs_scalar},
        {"simd_level", static_cast<double>(static_cast<int>(detected))}});
 
-  const bool ok = round_trip_ok && kernels_match && binary_vs_text >= 5.0;
+  const bool ok =
+      round_trip_ok && ids_match && kernels_match && binary_vs_text >= 5.0;
   if (!round_trip_ok) std::printf("FAIL: binary round trip not lossless\n");
+  if (!ids_match) {
+    std::printf("FAIL: fill_ids disagrees with fill on timestamps or IDs\n");
+  }
   if (!kernels_match) std::printf("FAIL: kernel checksums disagree\n");
   if (binary_vs_text < 5.0) {
     std::printf("FAIL: binary ingest only %.2fx text (need >= 5x)\n",

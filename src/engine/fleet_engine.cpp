@@ -13,9 +13,31 @@
 
 namespace canids::engine {
 
-/// All per-stream state lives here and is touched by exactly two threads:
-/// the producer (queue push side, `closed`, `parse_errors`) and the owning
-/// shard worker (queue pop side, backend, verdicts, `drained`).
+namespace {
+
+/// Every-Nth-batch latency sampling for one judging thread. With sampling
+/// off (the default) the per-batch cost is one false branch — no clock
+/// reads, no atomics — so verdict byte-identity and throughput hold.
+class BatchSampler {
+ public:
+  explicit BatchSampler(std::size_t every) : every_(every) {}
+  [[nodiscard]] bool next() {
+    if (every_ == 0 || ++tick_ < every_) return false;
+    tick_ = 0;
+    return true;
+  }
+
+ private:
+  std::size_t every_;
+  std::size_t tick_ = 0;
+};
+
+}  // namespace
+
+/// All per-stream state lives here. A stream is judged by one thread: the
+/// owning shard worker on the queued path (the producer touches only the
+/// queue's push side, `closed` and `parse_errors`), or the run_fleet
+/// producer that decodes it when run_fleet judges inline.
 struct FleetEngine::StreamState {
   StreamState(std::string key_in, int shard_in, std::size_t queue_capacity,
               BackpressurePolicy on_full_in,
@@ -31,18 +53,86 @@ struct FleetEngine::StreamState {
   SpscQueue<FrameItem> queue;
   BackpressurePolicy on_full;
   std::atomic<bool> closed{false};
-  std::atomic<bool> drained{false};  ///< worker sets: final window flushed
+  std::atomic<bool> drained{false};  ///< retire() set: final window flushed
   std::atomic<std::uint64_t> parse_errors{0};
   std::atomic<std::uint64_t> queue_dropped{0};
   /// Model generation this stream's backend was last rebound to; written
-  /// by the opening thread before publication, then worker-only.
+  /// by the opening thread before publication, then judging-thread-only.
   std::uint64_t generation = 0;
   std::unique_ptr<analysis::DetectorBackend> backend;
   std::vector<analysis::WindowVerdict> verdicts;
-  /// Cross-thread copy of backend->counters(), republished by the worker
-  /// after every drained batch (the backend itself is worker-private).
+  /// Cross-thread copy of backend->counters(), republished by the judging
+  /// thread after every batch (the backend itself is private to it).
   mutable std::mutex snapshot_mutex;
   ids::PipelineCounters snapshot;
+
+  /// The per-batch step of both judging paths: pick up a pending model
+  /// reload, score the block with one batched backend call (verdicts come
+  /// back in close order, exactly as per-frame calls would produce them),
+  /// fan the verdicts out, time the sampled batch, republish the counters.
+  /// `scratch` is the caller's reusable verdict buffer.
+  void judge(FleetEngine& engine, const FrameItem* items, std::size_t count,
+             std::vector<analysis::WindowVerdict>& scratch, bool sampled) {
+    rebind_if_stale(engine);
+    scratch.clear();
+    const std::int64_t t0 = sampled ? telemetry::steady_now_ns() : 0;
+    backend->on_frames(items, count, scratch);
+    if (sampled) {
+      engine.hot_.scoring->observe(
+          static_cast<std::uint64_t>(telemetry::steady_now_ns() - t0));
+    }
+    for (analysis::WindowVerdict& verdict : scratch) {
+      fan_out(engine, std::move(verdict));
+    }
+    if (sampled && !scratch.empty()) {
+      // Verdict latency = batch start to fan-out done, once per verdict
+      // the batch closed (they all completed at the same instant).
+      const auto elapsed =
+          static_cast<std::uint64_t>(telemetry::steady_now_ns() - t0);
+      for (std::size_t v = 0; v < scratch.size(); ++v) {
+        engine.hot_.verdict_latency->observe(elapsed);
+      }
+    }
+    publish_snapshot();
+  }
+
+  /// End of stream: flush the final (possibly partial) window — a
+  /// mid-window disconnect still gets judged — then mark the stream
+  /// drained and emit stream_drained.
+  void retire(FleetEngine& engine) {
+    rebind_if_stale(engine);
+    if (auto verdict = backend->finish()) fan_out(engine, std::move(*verdict));
+    publish_snapshot();
+    drained.store(true, std::memory_order_release);
+    if (engine.config_.events) {
+      const ids::PipelineCounters& done = backend->counters();
+      engine.config_.events->emit("stream_drained",
+                                  {{"stream", key},
+                                   {"frames", done.frames},
+                                   {"alerts", done.alerts}});
+    }
+  }
+
+  /// The producer side of the push path: enqueue a block with one queue
+  /// publish under the stream's backpressure policy (Stream::push_batch).
+  void push_batch(const FrameItem* items, std::size_t count) {
+    if (on_full == BackpressurePolicy::kDropNewest) {
+      // One attempt: the prefix that fits goes in; the rest is the queue
+      // telling us the consumer is behind, so it is dropped and counted
+      // rather than stalling the producer.
+      const std::size_t pushed = queue.try_push_batch(items, count);
+      if (pushed < count) {
+        queue_dropped.fetch_add(count - pushed, std::memory_order_relaxed);
+      }
+      return;
+    }
+    while (count > 0) {
+      const std::size_t pushed = queue.try_push_batch(items, count);
+      items += pushed;
+      count -= pushed;
+      if (count > 0) std::this_thread::yield();
+    }
+  }
 
   void publish_snapshot() {
     const std::lock_guard<std::mutex> lock(snapshot_mutex);
@@ -65,6 +155,25 @@ struct FleetEngine::StreamState {
     row.drained = drained.load(std::memory_order_acquire);
     return row;
   }
+
+ private:
+  /// A reload happened: rebind this stream's backend in place between
+  /// batches (window state survives; reload_models already validated the
+  /// refs against the prototype).
+  void rebind_if_stale(FleetEngine& engine) {
+    if (generation == engine.generation_.load(std::memory_order_acquire)) {
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(engine.reload_mutex_);
+    backend->rebind_models(engine.reload_refs_);
+    generation = engine.generation_.load(std::memory_order_acquire);
+  }
+
+  void fan_out(FleetEngine& engine, analysis::WindowVerdict verdict) {
+    const bool alert = verdict.alert;
+    if (engine.config_.collect_verdicts) verdicts.push_back(verdict);
+    if (alert) engine.alerts_.publish(FleetAlert{key, std::move(verdict)});
+  }
 };
 
 void FleetEngine::Stream::push(util::TimeNs timestamp, can::CanId id) {
@@ -82,23 +191,7 @@ void FleetEngine::Stream::push(util::TimeNs timestamp, can::CanId id) {
 
 void FleetEngine::Stream::push_batch(const FrameItem* items,
                                      std::size_t count) {
-  if (state_->on_full == BackpressurePolicy::kDropNewest) {
-    // One attempt: the prefix that fits goes in; the rest is the queue
-    // telling us the consumer is behind, so it is dropped and counted
-    // rather than stalling the producer.
-    const std::size_t pushed = state_->queue.try_push_batch(items, count);
-    if (pushed < count) {
-      state_->queue_dropped.fetch_add(count - pushed,
-                                      std::memory_order_relaxed);
-    }
-    return;
-  }
-  while (count > 0) {
-    const std::size_t pushed = state_->queue.try_push_batch(items, count);
-    items += pushed;
-    count -= pushed;
-    if (count > 0) std::this_thread::yield();
-  }
+  state_->push_batch(items, count);
 }
 
 void FleetEngine::Stream::record_parse_error() {
@@ -197,6 +290,13 @@ int FleetEngine::shard_of(std::string_view key) const noexcept {
 
 FleetEngine::Stream FleetEngine::open_stream(
     std::string key, std::vector<std::uint32_t> id_pool) {
+  return Stream(
+      &open_state(std::move(key), std::move(id_pool), config_.queue_capacity));
+}
+
+FleetEngine::StreamState& FleetEngine::open_state(
+    std::string key, std::vector<std::uint32_t> id_pool,
+    std::size_t queue_capacity) {
   CANIDS_EXPECTS(!finished_);
   CANIDS_EXPECTS(!key.empty());
   const int shard_index = shard_of(key);
@@ -207,7 +307,7 @@ FleetEngine::Stream FleetEngine::open_stream(
     // precedes or fully follows this clone).
     const std::lock_guard<std::mutex> lock(reload_mutex_);
     state_owner = std::make_unique<StreamState>(
-        std::move(key), shard_index, config_.queue_capacity, config_.on_full,
+        std::move(key), shard_index, queue_capacity, config_.on_full,
         prototype_->clone_for_stream(std::move(id_pool)));
     state_owner->generation = generation_.load(std::memory_order_acquire);
   }
@@ -229,7 +329,7 @@ FleetEngine::Stream FleetEngine::open_stream(
                                          {"shard", shard_index},
                                          {"generation", state->generation}});
   }
-  return Stream(state);
+  return *state;
 }
 
 void FleetEngine::start() {
@@ -320,57 +420,12 @@ void FleetEngine::publish_metrics() {
   reg.gauge("canids_shards", "Worker shards.").set(shard_count_);
 }
 
-void FleetEngine::handle_verdict(StreamState& stream,
-                                 analysis::WindowVerdict verdict) {
-  const bool alert = verdict.alert;
-  if (config_.collect_verdicts) stream.verdicts.push_back(verdict);
-  if (alert) alerts_.publish(FleetAlert{stream.key, std::move(verdict)});
-}
-
 void FleetEngine::worker_loop(Shard& shard) {
   std::vector<FrameItem> batch;
   batch.reserve(config_.drain_batch);
   std::vector<analysis::WindowVerdict> verdicts;
-
-  // Latency sampling: time every Nth drained batch. With sampling off
-  // (the default) the per-batch cost is one false branch — no clock
-  // reads, no atomics — so verdict byte-identity and throughput hold.
-  const std::size_t sample_every =
-      hot_.scoring != nullptr ? config_.telemetry_sample : 0;
-  std::size_t sample_tick = 0;
-
-  auto feed = [&](StreamState& stream) {
-    // One batched backend call per drained block — the SIMD-counted hot
-    // path; verdicts come back in close order, exactly as per-frame calls
-    // would have produced them.
-    verdicts.clear();
-    std::int64_t t0 = 0;
-    const bool sampled = sample_every != 0 && ++sample_tick >= sample_every;
-    if (sampled) {
-      sample_tick = 0;
-      hot_.occupancy->observe(batch.size() + stream.queue.size_approx());
-      t0 = telemetry::steady_now_ns();
-    }
-    stream.backend->on_frames(batch.data(), batch.size(), verdicts);
-    if (sampled) {
-      hot_.scoring->observe(
-          static_cast<std::uint64_t>(telemetry::steady_now_ns() - t0));
-    }
-    const std::size_t closed = verdicts.size();
-    for (analysis::WindowVerdict& verdict : verdicts) {
-      handle_verdict(stream, std::move(verdict));
-    }
-    if (sampled && closed > 0) {
-      // Verdict latency = drain start to fan-out done, once per verdict
-      // the batch closed (they all completed at the same instant).
-      const auto elapsed =
-          static_cast<std::uint64_t>(telemetry::steady_now_ns() - t0);
-      for (std::size_t v = 0; v < closed; ++v) {
-        hot_.verdict_latency->observe(elapsed);
-      }
-    }
-    stream.publish_snapshot();
-  };
+  BatchSampler sampler(hot_.scoring != nullptr ? config_.telemetry_sample
+                                               : 0);
 
   // The worker's private rotation: drained streams leave it (their
   // StreamState stays behind for finish()/status()), dynamically opened
@@ -386,53 +441,27 @@ void FleetEngine::worker_loop(Shard& shard) {
       shard.has_incoming.store(false, std::memory_order_release);
     }
     bool progressed = false;
-    const std::uint64_t generation =
-        generation_.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < active.size();) {
       StreamState* stream = active[i];
-      if (stream->generation != generation) {
-        // A reload happened: rebind this stream's backend in place between
-        // drain batches (window state and queue survive; reload_models
-        // already validated the refs against the prototype).
-        const std::lock_guard<std::mutex> lock(reload_mutex_);
-        stream->backend->rebind_models(reload_refs_);
-        stream->generation = generation_.load(std::memory_order_acquire);
-        progressed = true;
-      }
+      // Read `closed` before popping: the producer sets it after its final
+      // push, so when it was already set, an empty pop means end of stream.
+      const bool closed = stream->closed.load(std::memory_order_acquire);
       batch.clear();
       if (stream->queue.pop_batch(batch, config_.drain_batch) > 0) {
-        feed(*stream);
+        const bool sampled = sampler.next();
+        if (sampled) {
+          hot_.occupancy->observe(batch.size() + stream->queue.size_approx());
+        }
+        stream->judge(*this, batch.data(), batch.size(), verdicts, sampled);
         progressed = true;
         ++i;
         continue;
       }
-      if (!stream->closed.load(std::memory_order_acquire)) {
+      if (!closed) {
         ++i;
         continue;
       }
-      // `closed` is published after the producer's final push, so one more
-      // pop after observing it catches any frames we raced past.
-      if (stream->queue.pop_batch(batch, config_.drain_batch) > 0) {
-        feed(*stream);
-        progressed = true;
-        ++i;
-        continue;
-      }
-      // Flush the final (possibly partial) window — a mid-window
-      // disconnect still gets judged — then retire the stream from the
-      // rotation.
-      if (auto verdict = stream->backend->finish()) {
-        handle_verdict(*stream, std::move(*verdict));
-      }
-      stream->publish_snapshot();
-      stream->drained.store(true, std::memory_order_release);
-      if (config_.events) {
-        const ids::PipelineCounters& done = stream->backend->counters();
-        config_.events->emit("stream_drained",
-                             {{"stream", stream->key},
-                              {"frames", done.frames},
-                              {"alerts", done.alerts}});
-      }
+      stream->retire(*this);
       active[i] = active.back();
       active.pop_back();
       progressed = true;
@@ -484,100 +513,110 @@ std::vector<StreamResult> FleetEngine::finish() {
   return results;
 }
 
-/// Frames a pump accumulates before one batched queue publish.
-constexpr std::size_t kIngestBatch = 128;
-
 FleetRunResult run_fleet(FleetEngine& engine,
                          std::vector<NamedSource> sources,
                          int producer_threads) {
-  std::vector<FleetEngine::Stream> streams;
-  streams.reserve(sources.size());
+  CANIDS_EXPECTS(!engine.started_.load(std::memory_order_acquire));
+  CANIDS_EXPECTS(engine.streams_.empty());
+  const std::size_t want =
+      producer_threads > 0 ? static_cast<std::size_t>(producer_threads)
+                           : static_cast<std::size_t>(engine.shard_count_);
+  // Judging a block on the thread that decoded it saves the queue hop and
+  // a second busy thread per core, but runs decode and judging back to
+  // back. With fewer sources than threads, cores would idle; they are
+  // better spent overlapping the two, so those runs queue (see the header).
+  const bool queued = sources.size() < want;
+  std::vector<FleetEngine::StreamState*> states;
+  states.reserve(sources.size());
   for (NamedSource& named : sources) {
-    streams.push_back(
-        engine.open_stream(named.key, std::move(named.id_pool)));
+    // A stream judged inline never queues, so it gets the smallest ring.
+    states.push_back(&engine.open_state(
+        named.key, std::move(named.id_pool),
+        queued ? engine.config_.queue_capacity : 1));
   }
-  engine.start();
+  if (queued) {
+    engine.start();
+  } else {
+    // Running, but with no shard worker: each stream is judged by the
+    // producer below that decodes it, and finish() only collects results.
+    engine.started_.store(true, std::memory_order_release);
+  }
 
   FleetRunResult result;
   std::mutex error_mutex;
   std::atomic<std::size_t> next{0};
-  // Ingest-side latency sampling, same knob as the shard workers.
+  // Judged inline, the fill is timed on the same sampled blocks as the
+  // scoring.
   telemetry::Histogram* fill_hist = nullptr;
-  const std::size_t fill_sample = engine.config().telemetry_sample;
-  if (engine.config().metrics && fill_sample > 0) {
-    fill_hist = &engine.config().metrics->histogram(
+  if (engine.hot_.scoring != nullptr) {
+    fill_hist = &engine.config_.metrics->histogram(
         "canids_ingest_fill_ns",
         "TraceSource::fill wall time per sampled ingest batch.",
         telemetry::latency_bounds_ns());
   }
-  auto pump = [&] {
-    std::size_t fill_tick = 0;
+  const std::size_t block_size = engine.config_.drain_batch;
+  auto produce = [&] {
+    std::vector<FleetEngine::FrameItem> block;
+    block.reserve(block_size);
+    std::vector<analysis::WindowVerdict> verdicts;
+    BatchSampler sampler(fill_hist != nullptr
+                             ? engine.config_.telemetry_sample
+                             : 0);
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= sources.size()) break;
-      FleetEngine::Stream stream = streams[i];
-      std::vector<can::TimedFrame> frames;
-      frames.reserve(kIngestBatch);
-      std::vector<FleetEngine::FrameItem> batch;
-      batch.reserve(kIngestBatch);
+      FleetEngine::StreamState& stream = *states[i];
       trace::TraceSource& source = *sources[i].source;
       for (;;) {
-        frames.clear();
+        block.clear();
         bool parse_error = false;
         bool fatal = false;
-        const bool sampled =
-            fill_hist != nullptr && ++fill_tick >= fill_sample;
-        std::int64_t t0 = 0;
-        if (sampled) {
-          fill_tick = 0;
-          t0 = telemetry::steady_now_ns();
-        }
+        const bool sampled = sampler.next();
+        const std::int64_t t0 = sampled ? telemetry::steady_now_ns() : 0;
         try {
-          source.fill(frames, kIngestBatch);
+          source.fill_ids(block, block_size);
           if (sampled) {
             fill_hist->observe(
                 static_cast<std::uint64_t>(telemetry::steady_now_ns() - t0));
           }
         } catch (const trace::ParseError&) {
           // A malformed line: the parser consumed it, frames decoded
-          // before it are already in `frames`, and the source recovers on
+          // before it are already in `block`, and the source recovers on
           // the next call. Count it and keep going.
           parse_error = true;
-          stream.record_parse_error();
+          stream.parse_errors.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& e) {
           // Anything else (I/O failure, binary-trace corruption) is fatal
-          // for this stream; frames pushed so far are kept.
+          // for this stream; frames judged so far are kept.
           fatal = true;
           const std::lock_guard<std::mutex> lock(error_mutex);
-          result.errors.emplace_back(stream.key(), e.what());
+          result.errors.emplace_back(stream.key, e.what());
         }
-        if (!frames.empty()) {
-          batch.clear();
-          for (const can::TimedFrame& frame : frames) {
-            batch.push_back(
-                FleetEngine::FrameItem{frame.timestamp, frame.frame.id()});
+        if (!block.empty()) {
+          if (queued) {
+            stream.push_batch(block.data(), block.size());
+          } else {
+            stream.judge(engine, block.data(), block.size(), verdicts,
+                         sampled);
           }
-          stream.push_batch(batch.data(), batch.size());
         }
         if (fatal) break;
-        // An empty batch without a parse error is end of stream (a parse
+        // An empty block without a parse error is end of stream (a parse
         // error can legitimately yield zero frames and must not end it).
-        if (frames.empty() && !parse_error) break;
+        if (block.empty() && !parse_error) break;
       }
-      stream.close();
+      stream.closed.store(true, std::memory_order_release);
+      if (!queued) stream.retire(engine);
     }
   };
 
-  const std::size_t want =
-      producer_threads > 0 ? static_cast<std::size_t>(producer_threads)
-                           : static_cast<std::size_t>(engine.shards());
   const std::size_t threads =
       std::max<std::size_t>(1, std::min(want, sources.size()));
-  std::vector<std::thread> pumps;
-  pumps.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pumps.emplace_back(pump);
-  pump();
-  for (std::thread& thread : pumps) thread.join();
+  std::vector<std::thread> producers;
+  producers.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) producers.emplace_back(produce);
+  produce();
+  for (std::thread& thread : producers) thread.join();
 
   result.streams = engine.finish();
   return result;

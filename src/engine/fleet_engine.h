@@ -3,15 +3,21 @@
 // vehicle/channel stream gets its own instance stamped out with
 // clone_for_stream(), so immutable trained state (golden template, learned
 // entropy band, learned periods) is shared while runtime state stays
-// per-stream:
+// per-stream. Frames reach a stream's backend by one of two paths:
 //
-//   producers (trace files, taps)          shard workers
-//   ───────────────────────────           ───────────────
-//   Stream::push ──► SpscQueue ──► worker: per-stream DetectorBackend ──► AlertSink
-//                                   (one shard owns a stream outright, so
-//                                    per-stream frame order — and therefore
-//                                    every WindowVerdict — is identical to a
-//                                    sequential run)
+//   queued (serve, taps; run_fleet with fewer sources than threads)
+//   ─────────────────────────────────────────────────────────────────
+//   Stream::push ──► SpscQueue ──► shard worker: per-stream DetectorBackend ──► AlertSink
+//
+//   inline (run_fleet with at least as many sources as threads)
+//   ───────────────────────────────────────────────────────────
+//   producer thread: TraceSource::fill_ids ──► same stream's DetectorBackend ──► AlertSink
+//
+// Either way exactly one thread judges a stream at a time, in frame order,
+// so every WindowVerdict is identical to a sequential run. A stream's shard
+// label is always shard_of(key): on the queued path it names the worker
+// that owns the stream; judged inline, where no worker runs, it is only the
+// stable label STATUS and the fleet table print.
 //
 // The paper's bit-entropy detector stays the cheapest replicable backend
 // (11 counters + one shared template per stream) and remains the default,
@@ -54,15 +60,18 @@ enum class BackpressurePolicy : std::uint8_t {
 struct FleetConfig {
   /// Worker shards; 0 = one per available hardware thread.
   int shards = 0;
-  /// Bounded frames buffered per stream between its producer and shard
-  /// (backpressure: push blocks when full, so memory stays bounded). Must
-  /// be a power of two — the SPSC ring is mask-indexed — or the engine
-  /// constructor throws std::invalid_argument.
+  /// Bounded frames buffered per stream between its producer and shard on
+  /// the queued path (backpressure: push blocks when full, so memory
+  /// stays bounded); streams run_fleet judges inline have no queue. Must
+  /// be a power of two —
+  /// the SPSC ring is mask-indexed — or the engine constructor throws
+  /// std::invalid_argument.
   std::size_t queue_capacity = 8192;
   /// Full-queue policy applied to every stream (see BackpressurePolicy).
   BackpressurePolicy on_full = BackpressurePolicy::kBlock;
   /// Max frames a worker drains from one stream before rotating to its
-  /// next stream (fairness bound under load).
+  /// next stream (fairness bound under load); also the block run_fleet
+  /// decodes at a time.
   std::size_t drain_batch = 256;
   /// Retain every WindowVerdict per stream (memory grows with window count;
   /// meant for the determinism tests and small fleets, not production).
@@ -74,10 +83,11 @@ struct FleetConfig {
   /// Structured lifecycle event sink (stream open/drain, model reloads).
   /// Only cold paths emit; null = no events.
   std::shared_ptr<telemetry::EventLog> events;
-  /// Hot-path latency sampling: time every Nth drained batch (scoring,
-  /// verdict latency, queue occupancy) and every Nth run_fleet fill into
-  /// `metrics` histograms. 0 (default) disables all hot-path timing even
-  /// with a registry present — verdicts and throughput are unperturbed.
+  /// Hot-path latency sampling: time every Nth judged batch (scoring,
+  /// verdict latency; queue occupancy on the queued path; the fill in
+  /// run_fleet) into `metrics` histograms. 0 (default) disables all
+  /// hot-path timing even with a registry present — verdicts and
+  /// throughput are unperturbed.
   std::size_t telemetry_sample = 0;
 };
 
@@ -91,8 +101,9 @@ struct StreamResult {
 };
 
 /// Point-in-time per-stream observability row (FleetEngine::status — the
-/// live service's status endpoint). Counters lag the worker by at most one
-/// drain batch; queue_depth is approximate by nature (SPSC ring).
+/// live service's status endpoint). Counters lag the judging thread by at
+/// most one batch; queue_depth is approximate by nature (SPSC ring) and 0
+/// for a stream run_fleet judges inline.
 struct StreamStatus {
   std::string key;
   int shard = 0;
@@ -101,8 +112,11 @@ struct StreamStatus {
   ids::PipelineCounters counters;
   std::size_t queue_depth = 0;
   bool closed = false;   ///< producer hung up
-  bool drained = false;  ///< final window flushed by the shard worker
+  bool drained = false;  ///< final window flushed and stream retired
 };
+
+struct NamedSource;
+struct FleetRunResult;
 
 class FleetEngine {
   struct StreamState;
@@ -122,9 +136,10 @@ class FleetEngine {
     /// queue_dropped().
     void push(util::TimeNs timestamp, can::CanId id);
     /// Enqueue a batch with a single queue publish — the high-throughput
-    /// ingest path (run_fleet batches per fill() block, serve per recv
-    /// chunk). kBlock: yields until everything is in. kDropNewest: pushes
-    /// the prefix that fits, discards (and counts) the rest.
+    /// ingest path (serve pushes one batch per recv chunk; run_fleet one
+    /// per decoded block when it queues). kBlock: yields until everything
+    /// is in. kDropNewest: pushes the prefix that fits, discards (and
+    /// counts) the rest.
     void push_batch(const FrameItem* items, std::size_t count);
     /// Record one malformed capture line skipped at ingest; surfaced in
     /// the stream's counters after finish().
@@ -190,13 +205,13 @@ class FleetEngine {
   /// the SIGHUP reload path. Validates against the prototype first (an
   /// incompatible model throws std::invalid_argument and nothing changes),
   /// then rebinds the prototype (so streams opened later start on the new
-  /// models) and marks every existing stream; each shard worker rebinds
-  /// its streams in-place between drain batches — no queue is flushed, no
-  /// window state is lost, no stream disconnects. Callable from any
-  /// thread while the engine runs.
+  /// models) and marks every existing stream; the thread judging a stream
+  /// rebinds it in place before its next batch (or its final window) — no
+  /// queue is flushed, no window state is lost, no stream disconnects.
+  /// Callable from any thread while the engine runs.
   void reload_models(analysis::ModelRefs models);
-  /// Completed reload_models generations (0 at start; streams may lag the
-  /// latest generation by one drain batch).
+  /// Completed reload_models generations (0 at start; a stream picks the
+  /// latest generation up with its next batch).
   [[nodiscard]] std::uint64_t model_generation() const noexcept {
     return generation_.load(std::memory_order_acquire);
   }
@@ -239,12 +254,20 @@ class FleetEngine {
     std::thread worker;
   };
 
+  /// Opens streams through open_state and, when it judges inline, drives
+  /// their StreamState on its own threads.
+  friend FleetRunResult run_fleet(FleetEngine& engine,
+                                  std::vector<NamedSource> sources,
+                                  int producer_threads);
+
+  /// open_stream's body, with the stream's ring size as a parameter.
+  StreamState& open_state(std::string key, std::vector<std::uint32_t> id_pool,
+                          std::size_t queue_capacity);
   void worker_loop(Shard& shard);
-  void handle_verdict(StreamState& stream, analysis::WindowVerdict verdict);
 
   /// Hot-path latency instruments, registered once at construction when
-  /// config.metrics is set with telemetry_sample > 0; workers capture the
-  /// raw pointers (stable for the registry's lifetime).
+  /// config.metrics is set with telemetry_sample > 0; judging threads use
+  /// the raw pointers (stable for the registry's lifetime).
   struct HotMetrics {
     telemetry::Histogram* scoring = nullptr;
     telemetry::Histogram* verdict_latency = nullptr;
@@ -290,10 +313,19 @@ struct FleetRunResult {
   std::vector<std::pair<std::string, std::string>> errors;
 };
 
-/// Convenience driver: one stream per source, `producer_threads` ingest
-/// threads (0 = shard count) work-stealing whole sources — a source is
-/// pumped by exactly one thread, preserving its frame order — then
-/// finish(). The calling thread pumps too.
+/// Batch replay into a fresh engine (no stream opened, not start()ed):
+/// one stream per source, `producer_threads` threads (0 = shard count)
+/// work-stealing whole sources; a source is read by exactly one thread,
+/// preserving its frame order, and the calling thread works too. Each
+/// thread decodes its source in config.drain_batch blocks. With at least
+/// as many sources as threads it judges each block itself on that
+/// stream's backend and retires the stream at its end (final partial
+/// window, drained, stream_drained event): no queue, no shard worker, so
+/// every thread is a judging thread. With fewer sources than threads the
+/// spare cores are better spent overlapping decode and judging (candump
+/// text decodes about 5x slower than bit-entropy judges), so the blocks go
+/// through the streams' queues to the shard workers, like serve's. Then
+/// finish().
 FleetRunResult run_fleet(FleetEngine& engine,
                          std::vector<NamedSource> sources,
                          int producer_threads = 0);

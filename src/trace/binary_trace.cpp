@@ -230,20 +230,26 @@ std::size_t BinaryTraceSource::read_records(std::size_t want) {
   return take;
 }
 
-can::TimedFrame BinaryTraceSource::decode(const unsigned char* record,
-                                          std::uint64_t index,
-                                          std::uint8_t& channel_index) const {
+void BinaryTraceSource::check_record(RecordFault fault,
+                                     std::uint8_t channel_index,
+                                     std::uint64_t index) const {
   // Error strings are built only on the cold corruption paths — this
-  // decoder runs per record on the ingest fast path.
+  // check runs per record on the ingest fast path.
   const auto corrupt_at = [&](const char* what) {
     corrupt(what + (" in record " + std::to_string(index)));
   };
-  can::TimedFrame frame;
-  const RecordFault fault = decode_binary_record(record, frame, channel_index);
   if (fault != RecordFault::kNone) corrupt_at(record_fault_message(fault));
   if (channel_index >= channels_.size()) {
     corrupt_at("channel index out of range");
   }
+}
+
+can::TimedFrame BinaryTraceSource::decode(const unsigned char* record,
+                                          std::uint64_t index,
+                                          std::uint8_t& channel_index) const {
+  can::TimedFrame frame;
+  const RecordFault fault = decode_binary_record(record, frame, channel_index);
+  check_record(fault, channel_index, index);
   return frame;
 }
 
@@ -268,6 +274,20 @@ std::size_t BinaryTraceSource::fill(std::vector<can::TimedFrame>& out,
   for (std::size_t i = 0; i < take; ++i) {
     out.push_back(decode(buffer_.data() + i * kBinaryRecordBytes,
                          records_read_ + i, channel_index));
+  }
+  records_read_ += take;
+  return take;
+}
+
+std::size_t BinaryTraceSource::fill_ids(std::vector<can::TimedId>& out,
+                                        std::size_t max) {
+  const std::size_t take = read_records(max);
+  for (std::size_t i = 0; i < take; ++i) {
+    const unsigned char* record = buffer_.data() + i * kBinaryRecordBytes;
+    can::TimedId item;
+    check_record(decode_binary_record_id(record, item), record[12],
+                 records_read_ + i);
+    out.push_back(item);
   }
   records_read_ += take;
   return take;

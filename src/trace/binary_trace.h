@@ -133,7 +133,7 @@ void write_binary_trace(std::ostream& out, const Trace& trace);
 [[nodiscard]] Trace read_binary_trace(std::istream& in);
 
 /// Streams a binary trace in constant memory, record-by-record or
-/// block-wise via fill(). The header is read eagerly at construction.
+/// block-wise via fill() / fill_ids(). The header is read eagerly at construction.
 class BinaryTraceSource final : public RecordSource {
  public:
   /// Stream variant: `in` must outlive the source.
@@ -147,6 +147,11 @@ class BinaryTraceSource final : public RecordSource {
   /// them straight to TimedFrame — no per-record channel-string work.
   std::size_t fill(std::vector<can::TimedFrame>& out,
                    std::size_t max) override;
+  /// The fleet replay path: the same bulk read, decoded with
+  /// decode_binary_record_id — same checks, same order, same errors as
+  /// fill(), but no Frame is built.
+  std::size_t fill_ids(std::vector<can::TimedId>& out,
+                       std::size_t max) override;
 
   [[nodiscard]] std::uint64_t record_count() const noexcept {
     return record_count_;
@@ -160,6 +165,10 @@ class BinaryTraceSource final : public RecordSource {
   [[nodiscard]] can::TimedFrame decode(const unsigned char* record,
                                        std::uint64_t index,
                                        std::uint8_t& channel_index) const;
+  /// Throws the loader's corruption error for record `index` when the
+  /// decoder reported `fault` or the channel index is out of range.
+  void check_record(RecordFault fault, std::uint8_t channel_index,
+                    std::uint64_t index) const;
   [[noreturn]] void corrupt(const std::string& what) const;
   /// Bulk-read up to `want` records into buffer_; 0 only at a clean end.
   std::size_t read_records(std::size_t want);

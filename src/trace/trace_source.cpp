@@ -18,6 +18,24 @@ std::size_t TraceSource::fill(std::vector<can::TimedFrame>& out,
   return added;
 }
 
+std::size_t TraceSource::fill_ids(std::vector<can::TimedId>& out,
+                                  std::size_t max) {
+  id_fill_frames_.clear();
+  const auto keep_ids = [&] {
+    for (const can::TimedFrame& frame : id_fill_frames_) {
+      out.push_back(can::TimedId{frame.timestamp, frame.frame.id()});
+    }
+  };
+  try {
+    fill(id_fill_frames_, max);
+  } catch (...) {
+    keep_ids();  // fill()'s contract: frames before the fault are kept
+    throw;
+  }
+  keep_ids();
+  return id_fill_frames_.size();
+}
+
 std::vector<can::TimedFrame> TraceSource::drain() {
   constexpr std::size_t kDrainChunk = 4096;
   std::vector<can::TimedFrame> frames;

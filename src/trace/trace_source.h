@@ -37,9 +37,22 @@ class TraceSource {
   virtual std::size_t fill(std::vector<can::TimedFrame>& out,
                            std::size_t max);
 
+  /// Bulk read of only what the detectors judge: append up to `max`
+  /// (timestamp, id) pairs to `out` — the fleet engine's batch-replay
+  /// path. Same return value and error contract as fill(): on a throw,
+  /// the ids of the frames decoded before the fault are already in `out`.
+  /// The base implementation reduces fill() through a reused scratch
+  /// buffer; BinaryTraceSource decodes its records straight to TimedId.
+  virtual std::size_t fill_ids(std::vector<can::TimedId>& out,
+                               std::size_t max);
+
   /// Drain every remaining frame — the batch path, for callers that want
   /// the old fully-materialized behaviour.
   [[nodiscard]] std::vector<can::TimedFrame> drain();
+
+ private:
+  /// fill_ids() scratch, kept so a steady block loop allocates nothing.
+  std::vector<can::TimedFrame> id_fill_frames_;
 };
 
 /// A TraceSource whose underlying records carry channel metadata (the file

@@ -1,9 +1,11 @@
 #include "engine/fleet_engine.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,7 +17,9 @@
 #include "analysis/registry.h"
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
+#include "trace/trace_io.h"
 #include "trace/trace_source.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace canids::engine {
@@ -677,6 +681,210 @@ TEST(FleetEngineTest, TelemetrySamplingDoesNotChangeVerdicts) {
   ASSERT_NE(scoring, families.end());
   ASSERT_EQ(scoring->series.size(), 1u);
   EXPECT_GT(scoring->series[0].histogram.count(), 0u);
+}
+
+/// Observations recorded in one histogram family of `registry` (0 when
+/// the family does not exist).
+[[nodiscard]] std::uint64_t histogram_count(
+    const telemetry::MetricsRegistry& registry, std::string_view name) {
+  std::uint64_t count = 0;
+  for (const auto& family : registry.snapshot()) {
+    if (family.name != name) continue;
+    for (const auto& series : family.series) {
+      count += series.histogram.count();
+    }
+  }
+  return count;
+}
+
+TEST(FleetEngineTest, TinyQueueAndDrainBatchOnThePushPathMatchSequential) {
+  // The live push path at the smallest legal sizes: a 2-slot ring, one
+  // frame per drain, and push_batch blocks larger than the ring, so every
+  // publish waits on the worker.
+  const FleetWorld world;
+  const std::vector<can::TimedFrame> frames = world.make_trace(51, 4, {2});
+  const std::unique_ptr<analysis::DetectorBackend> reference =
+      world.bit_entropy(world.pipeline_config());
+  const std::vector<analysis::WindowVerdict> expected =
+      sequential_verdicts(*reference, {}, frames);
+
+  FleetConfig config;
+  config.shards = 2;
+  config.queue_capacity = 2;
+  config.drain_batch = 1;
+  config.collect_verdicts = true;
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()), config);
+  engine.start();
+  FleetEngine::Stream stream = engine.open_stream("tiny");
+  std::vector<FleetEngine::FrameItem> block;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    block.push_back({frames[i].timestamp, frames[i].frame.id()});
+    if (block.size() == 5 || i + 1 == frames.size()) {
+      stream.push_batch(block.data(), block.size());
+      block.clear();
+    }
+  }
+  stream.close();
+  const std::vector<StreamResult> results = engine.finish();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].counters.frames, frames.size());
+  EXPECT_EQ(results[0].counters.queue_dropped, 0u);
+  EXPECT_GT(results[0].counters.alerts, 0u);
+  EXPECT_EQ(results[0].verdicts, expected);
+}
+
+TEST(FleetEngineTest, RunFleetTelemetrySamplingDoesNotChangeVerdicts) {
+  // The batch-replay side of the --telemetry-sample contract, on both of
+  // run_fleet's paths: every Nth block's fill and scoring are timed without
+  // changing a verdict. One source on 2 shards queues to the workers by
+  // default; with one producer thread the producer judges inline.
+  const FleetWorld world;
+  const std::vector<can::TimedFrame> frames = world.make_trace(71, 6, {1, 4});
+
+  for (const int producers : {0, 1}) {
+    const bool queued = producers == 0;
+    const auto run_with =
+        [&](std::shared_ptr<telemetry::MetricsRegistry> registry,
+            std::size_t sample) {
+          FleetConfig config;
+          config.shards = 2;
+          config.drain_batch = 64;
+          config.collect_verdicts = true;
+          config.metrics = std::move(registry);
+          config.telemetry_sample = sample;
+          FleetEngine engine(world.bit_entropy(world.pipeline_config()),
+                             config);
+          std::vector<NamedSource> sources;
+          sources.push_back(NamedSource{
+              "veh", std::make_unique<trace::MemorySource>(frames),
+              world.pool});
+          FleetRunResult run =
+              run_fleet(engine, std::move(sources), producers);
+          EXPECT_TRUE(run.errors.empty());
+          return std::move(run.streams.at(0).verdicts);
+        };
+
+    const auto registry = std::make_shared<telemetry::MetricsRegistry>();
+    const std::vector<analysis::WindowVerdict> plain = run_with(nullptr, 0);
+    const std::vector<analysis::WindowVerdict> sampled =
+        run_with(registry, 3);
+    ASSERT_FALSE(plain.empty());
+    EXPECT_EQ(plain, sampled) << producers;
+    EXPECT_GT(histogram_count(*registry, "canids_scoring_batch_ns"), 0u);
+    EXPECT_GT(histogram_count(*registry, "canids_ingest_fill_ns"), 0u);
+    EXPECT_GT(histogram_count(*registry, "canids_verdict_latency_ns"), 0u);
+    // Only the queued path has a queue to measure.
+    EXPECT_EQ(histogram_count(*registry, "canids_queue_occupancy_frames") > 0,
+              queued)
+        << producers;
+  }
+}
+
+TEST(FleetEngineTest, RunFleetRequiresAFreshEngine) {
+  // A stream opened before run_fleet would never be judged: judged inline,
+  // no worker would drain it. run_fleet refuses such an engine.
+  const FleetWorld world;
+  FleetEngine engine(world.bit_entropy(world.pipeline_config()));
+  FleetEngine::Stream early = engine.open_stream("early");
+  std::vector<NamedSource> sources;
+  sources.push_back(NamedSource{
+      "veh", std::make_unique<trace::MemorySource>(world.make_trace(72, 2)),
+      world.pool});
+  EXPECT_THROW(run_fleet(engine, std::move(sources), 1),
+               ContractViolation);
+  early.close();
+}
+
+TEST(FleetEngineTest, RunFleetMatchesSequentialAtAnyProducerAndShardCount) {
+  // Five sources: 1 and 2 producer threads judge inline, 16 queue to the
+  // shard workers. Neither path, the thread count, the shard count nor the
+  // capture format may change a verdict or a stream's shard label.
+  const FleetWorld world;
+  std::map<std::string, std::vector<can::TimedFrame>> traces;
+  traces["car-00"] = world.make_trace(101, 5);
+  traces["car-01"] = world.make_trace(102, 5, {1, 3});
+  traces["car-02"] = world.make_trace(103, 4);
+  traces["car-03"] = world.make_trace(104, 5, {2});
+  traces["car-04"] = world.make_trace(105, 3);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("canids_fleet_replay_grid_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path_of = [&](const std::string& key, trace::TraceFormat format) {
+    return dir / (key + "." + std::string(trace::trace_format_name(format)));
+  };
+  for (const auto& [key, frames] : traces) {
+    trace::Trace records;
+    for (const can::TimedFrame& frame : frames) {
+      records.push_back(trace::LogRecord{frame.timestamp, "can0", frame.frame});
+    }
+    for (const trace::TraceFormat format :
+         {trace::TraceFormat::kBinary, trace::TraceFormat::kCandump}) {
+      trace::save_trace_file(path_of(key, format), records, format);
+    }
+  }
+
+  enum class Kind { kMemory, kBinary, kCandump };
+  const auto open = [&](Kind kind, const std::string& key)
+      -> std::unique_ptr<trace::TraceSource> {
+    switch (kind) {
+      case Kind::kMemory:
+        return std::make_unique<trace::MemorySource>(traces.at(key));
+      case Kind::kBinary:
+        return trace::open_trace_source(
+            path_of(key, trace::TraceFormat::kBinary));
+      case Kind::kCandump:
+        return trace::open_trace_source(
+            path_of(key, trace::TraceFormat::kCandump));
+    }
+    return nullptr;
+  };
+
+  const std::unique_ptr<analysis::DetectorBackend> reference =
+      world.bit_entropy(world.pipeline_config());
+  for (const Kind kind : {Kind::kMemory, Kind::kBinary, Kind::kCandump}) {
+    // The reference judges exactly what the source yields (candump text
+    // keeps microseconds, so its timestamps are the text's, not make_trace's).
+    std::map<std::string, std::vector<analysis::WindowVerdict>> expected;
+    for (const auto& [key, frames] : traces) {
+      expected[key] =
+          sequential_verdicts(*reference, world.pool, open(kind, key)->drain());
+      ASSERT_FALSE(expected[key].empty()) << key;
+    }
+    for (const int shards : {1, 3}) {
+      for (const int producers : {1, 2, 16}) {
+        FleetConfig config;
+        config.shards = shards;
+        config.drain_batch = 100;
+        config.collect_verdicts = true;
+        FleetEngine engine(world.bit_entropy(world.pipeline_config()),
+                           config);
+        std::vector<NamedSource> sources;
+        for (const auto& [key, frames] : traces) {
+          sources.push_back(NamedSource{key, open(kind, key), world.pool});
+        }
+        FleetRunResult run =
+            run_fleet(engine, std::move(sources), producers);
+        ASSERT_TRUE(run.errors.empty()) << run.errors[0].second;
+        ASSERT_EQ(run.streams.size(), traces.size());
+        for (const StreamResult& stream : run.streams) {
+          const std::string where =
+              "source kind " + std::to_string(static_cast<int>(kind)) + ", " +
+              std::to_string(shards) + " shards, " +
+              std::to_string(producers) + " producers, stream " + stream.key;
+          EXPECT_EQ(stream.verdicts, expected.at(stream.key)) << where;
+          EXPECT_EQ(stream.shard, engine.shard_of(stream.key)) << where;
+        }
+        for (const StreamStatus& row : engine.status()) {
+          EXPECT_TRUE(row.closed && row.drained) << row.key;
+          EXPECT_EQ(row.shard, engine.shard_of(row.key)) << row.key;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetEngineTest, PublishMetricsFoldsStatusIntoRegistry) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/trace_io.h"
 
@@ -229,6 +232,163 @@ TEST(BinaryTraceTest, FillMatchesNextAtAnyChunkSize) {
       EXPECT_EQ(got[i].frame, expected[i].frame);
     }
   }
+}
+
+/// What one block-wise read of a canidsBT byte string yields: the
+/// (timestamp, id) pairs decoded, and the error text if it threw.
+struct IdRead {
+  std::vector<can::TimedId> ids;
+  std::string error;
+};
+
+/// Read `bytes` to the end in `chunk`-record blocks, either through
+/// fill_ids() or through fill() reduced to timestamp and ID. Frames
+/// appended before a throw are kept, per the fill() contract.
+[[nodiscard]] IdRead read_ids(const std::string& bytes, std::size_t chunk,
+                              bool via_fill_ids) {
+  IdRead read;
+  std::istringstream in(bytes);
+  try {
+    BinaryTraceSource source(in);
+    if (via_fill_ids) {
+      while (source.fill_ids(read.ids, chunk) > 0) {
+      }
+    } else {
+      std::vector<can::TimedFrame> frames;
+      const auto keep = [&] {
+        for (const can::TimedFrame& frame : frames) {
+          read.ids.push_back(can::TimedId{frame.timestamp, frame.frame.id()});
+        }
+        frames.clear();
+      };
+      try {
+        while (source.fill(frames, chunk) > 0) keep();
+      } catch (const std::runtime_error&) {
+        keep();
+        throw;
+      }
+    }
+  } catch (const std::runtime_error& e) {
+    read.error = e.what();
+  }
+  return read;
+}
+
+/// fill_ids() must be fill() minus the payload: same ids, same error.
+void expect_same_read(const std::string& bytes, std::size_t chunk,
+                      const std::string& what) {
+  const IdRead want = read_ids(bytes, chunk, false);
+  const IdRead got = read_ids(bytes, chunk, true);
+  EXPECT_EQ(got.error, want.error) << what << ", chunk " << chunk;
+  ASSERT_EQ(got.ids.size(), want.ids.size()) << what << ", chunk " << chunk;
+  for (std::size_t i = 0; i < want.ids.size(); ++i) {
+    EXPECT_EQ(got.ids[i].timestamp, want.ids[i].timestamp)
+        << what << ", chunk " << chunk << ", frame " << i;
+    EXPECT_EQ(got.ids[i].id, want.ids[i].id)
+        << what << ", chunk " << chunk << ", frame " << i;
+  }
+}
+
+constexpr std::size_t kIdChunks[] = {1, 7, 128, 4096};
+
+TEST(BinaryTraceTest, FillIdsMatchesFillAtAnyChunkSize) {
+  // 2 channels, extended and remote frames, more records than the largest
+  // chunk, so every chunk size spans several blocks and a ragged tail.
+  Trace trace;
+  for (int copy = 0; copy < 1100; ++copy) {
+    for (LogRecord record : sample_trace()) {
+      record.timestamp += static_cast<util::TimeNs>(copy) * 10'000'000;
+      trace.push_back(std::move(record));
+    }
+  }
+  const std::string bytes = encode(trace);
+  for (const std::size_t chunk : kIdChunks) {
+    const IdRead read = read_ids(bytes, chunk, true);
+    EXPECT_TRUE(read.error.empty()) << read.error;
+    ASSERT_EQ(read.ids.size(), trace.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ASSERT_EQ(read.ids[i].timestamp, trace[i].timestamp) << "frame " << i;
+      ASSERT_EQ(read.ids[i].id, trace[i].frame.id()) << "frame " << i;
+    }
+    expect_same_read(bytes, chunk, "clean trace");
+  }
+}
+
+TEST(BinaryTraceTest, FillIdsRejectsCorruptionExactlyLikeFill) {
+  const std::string clean = encode(sample_trace());
+  constexpr std::size_t kRecord0 = kSampleHeaderBytes;
+  constexpr std::size_t kRecord2 = kRecord0 + 2 * kBinaryRecordBytes;
+  constexpr std::size_t kRecord3 = kRecord0 + 3 * kBinaryRecordBytes;
+  // Every TamperedBytesAreRejected case, plus faults in later records so
+  // the record index in the message and the frames kept before the fault
+  // are compared too.
+  const std::pair<std::size_t, unsigned char> tampers[] = {
+      {0, 'X'},
+      {8, 0xFF},
+      {20, 0x00},
+      {kRecord0 + 11, 0x80},
+      {kRecord0 + 9, 0x08},
+      {kRecord0 + 12, 200},
+      {kRecord0 + 13, 9},
+      {kRecord0 + 14 + 7, 0x01},
+      {kRecord2 + 12, 2},  // channel index one past the 2-name table
+      {kRecord3 + 11, 0x80},
+      {kRecord3 + 9, 0x08},
+  };
+  for (const auto& [offset, value] : tampers) {
+    std::string bytes = clean;
+    bytes[offset] = static_cast<char>(value);
+    for (const std::size_t chunk : kIdChunks) {
+      ASSERT_FALSE(read_ids(bytes, chunk, true).error.empty())
+          << "tamper at byte " << offset << " parsed cleanly";
+      expect_same_read(bytes, chunk,
+                       "tamper at byte " + std::to_string(offset));
+    }
+  }
+  for (std::size_t length = 0; length < clean.size(); ++length) {
+    for (const std::size_t chunk : kIdChunks) {
+      expect_same_read(clean.substr(0, length), chunk,
+                       "prefix of " + std::to_string(length) + " bytes");
+    }
+  }
+  for (const std::size_t chunk : kIdChunks) {
+    ASSERT_NE(read_ids(clean + "X", chunk, true).error.find("trailing bytes"),
+              std::string::npos);
+    expect_same_read(clean + "X", chunk, "trailing byte");
+  }
+}
+
+TEST(TraceSourceTest, BaseFillIdsKeepsFramesDecodedBeforeAParseError) {
+  /// A text-parser stand-in: frame, frame, malformed line, frame.
+  class FlakySource final : public TraceSource {
+   public:
+    std::optional<can::TimedFrame> next() override {
+      ++calls_;
+      if (calls_ == 3) throw ParseError("bad line", calls_);
+      if (calls_ > 4) return std::nullopt;
+      return can::TimedFrame{
+          static_cast<util::TimeNs>(calls_) * 1000,
+          can::Frame::data_frame(can::CanId::extended(0x100 + calls_), {}),
+          can::TimedFrame::kUnknownSource};
+    }
+
+   private:
+    std::uint32_t calls_ = 0;
+  };
+
+  FlakySource source;
+  std::vector<can::TimedId> ids;
+  EXPECT_THROW((void)source.fill_ids(ids, 16), ParseError);
+  ASSERT_EQ(ids.size(), 2u);  // the two frames before the bad line
+  EXPECT_EQ(ids[0].timestamp, 1000);
+  EXPECT_EQ(ids[0].id, can::CanId::extended(0x101));
+  EXPECT_EQ(ids[1].timestamp, 2000);
+  EXPECT_EQ(ids[1].id, can::CanId::extended(0x102));
+  // The source recovers on the next call, and appends after what is there.
+  EXPECT_EQ(source.fill_ids(ids, 16), 1u);
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_EQ(ids[2].id, can::CanId::extended(0x104));
+  EXPECT_EQ(source.fill_ids(ids, 16), 0u);
 }
 
 TEST(BinaryTraceTest, ExposesHeaderMetadata) {

@@ -56,7 +56,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -672,7 +671,6 @@ int cmd_fleet(const std::string& models_path,
   // per alerting window, so a batch run and a live replay of the same
   // trace produce diff-able files.
   std::optional<std::ofstream> alerts_file;
-  std::mutex alerts_file_mutex;
   if (alerts_out) {
     alerts_file.emplace(*alerts_out, std::ios::out | std::ios::trunc);
     if (!*alerts_file) {
@@ -691,16 +689,11 @@ int cmd_fleet(const std::string& models_path,
   engine::FleetEngine fleet(make_backend_or_usage(detector_name, options),
                             config);
   // Streaming handler instead of retained alerts: long runs stay at
-  // constant memory. Shard workers call it concurrently, so the JSONL
-  // sink is mutex-guarded.
+  // constant memory. Every judging thread publishes into the sink, which
+  // calls the handler under its own lock, so the handler needs none.
   fleet.alerts().set_handler(
-      [&alerts_file, &alerts_file_mutex, quiet](
-          const engine::FleetAlert& alert) {
-        if (alerts_file) {
-          const std::string line = serve::to_json_line(alert);
-          const std::lock_guard<std::mutex> lock(alerts_file_mutex);
-          *alerts_file << line << '\n';
-        }
+      [&alerts_file, quiet](const engine::FleetAlert& alert) {
+        if (alerts_file) *alerts_file << serve::to_json_line(alert) << '\n';
         if (!quiet) print_alert(alert.stream.c_str(), alert.verdict);
       });
 

@@ -44,7 +44,7 @@ int main() {
   const double train_seconds = seconds_since(started);
 
   // Bundle bytes.
-  const model::ModelBundle bundle = trained.to_bundle();
+  const model::ModelBundle bundle = model::pack(trained);
   std::ostringstream bytes_out;
   bundle.save(bytes_out);
   const std::string bytes = bytes_out.str();
@@ -72,8 +72,8 @@ int main() {
   for (int i = 0; i < kIterations; ++i) {
     std::istringstream in(bytes);
     metrics::ExperimentRunner runner(bench_config());
-    runner.adopt_models(
-        metrics::SharedModels::from_bundle(model::ModelBundle::load(in)));
+    runner.adopt_models(metrics::SharedModels{
+        model::unpack(model::ModelBundle::load(in)), {}});
     coldstart_training_passes += runner.training_passes();
   }
   const double coldstart_seconds = seconds_since(started) / kIterations;
@@ -111,8 +111,8 @@ int main() {
   // the cold start must beat training outright, and adopting must have
   // prevented every training pass.
   std::istringstream in(bytes);
-  const metrics::SharedModels restored =
-      metrics::SharedModels::from_bundle(model::ModelBundle::load(in));
+  const model::StoredModels restored =
+      model::unpack(model::ModelBundle::load(in));
   bool ok = restored.golden && trained.golden &&
             *restored.golden == *trained.golden;
   ok = ok && restored.muter && restored.muter->mean_entropy() ==

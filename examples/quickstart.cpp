@@ -7,12 +7,38 @@
 //
 // Build & run:  ./quickstart
 #include <cstdio>
+#include <optional>
 
 #include "attacks/scenario.h"
 #include "ids/pipeline.h"
 #include "metrics/experiment.h"
 
 using namespace canids;
+
+namespace {
+
+/// Print a closed window's report when it alerted: which bits moved, which
+/// IDs are suspect.
+void print_alert(const std::optional<ids::WindowReport>& report) {
+  if (!report || !report->detection.alert) return;
+  std::printf("[%5.1fs] ALERT  bits:",
+              util::to_seconds(report->snapshot.start));
+  for (int bit : report->detection.alerted_bits) {
+    std::printf(" %d", bit + 1);  // paper-style 1-based bit positions
+  }
+  if (report->inference) {
+    std::printf("  suspect IDs:");
+    for (std::size_t i = 0;
+         i < report->inference->ranked_candidates.size() && i < 5; ++i) {
+      std::printf(" %03X", report->inference->ranked_candidates[i]);
+    }
+    std::printf("  (injected fraction ~%.1f%%)",
+                report->inference->estimated_injection_fraction * 100.0);
+  }
+  std::printf("\n");
+}
+
+}  // namespace
 
 int main() {
   // --- 1. A synthetic 2016-Ford-Fusion-like vehicle -------------------------
@@ -48,30 +74,12 @@ int main() {
   ids::PipelineConfig pipeline_config;  // 1 s windows, alpha = 5, rank = 10
   ids::IdsPipeline pipeline(golden, vehicle.id_pool(), pipeline_config);
 
-  pipeline.set_alert_handler([](const ids::WindowReport& report) {
-    std::printf("[%5.1fs] ALERT  bits:", util::to_seconds(
-                                             report.snapshot.start));
-    for (int bit : report.detection.alerted_bits) {
-      std::printf(" %d", bit + 1);  // paper-style 1-based bit positions
-    }
-    if (report.inference) {
-      std::printf("  suspect IDs:");
-      for (std::size_t i = 0;
-           i < report.inference->ranked_candidates.size() && i < 5; ++i) {
-        std::printf(" %03X", report.inference->ranked_candidates[i]);
-      }
-      std::printf("  (injected fraction ~%.1f%%)",
-                  report.inference->estimated_injection_fraction * 100.0);
-    }
-    std::printf("\n");
-  });
-
   bus.add_listener([&pipeline](const can::TimedFrame& frame) {
-    pipeline.on_frame(frame.timestamp, frame.frame.id());
+    print_alert(pipeline.on_frame(frame.timestamp, frame.frame.id()));
   });
 
   bus.run_until(15 * util::kSecond);
-  pipeline.finish();
+  print_alert(pipeline.finish());
 
   std::printf(
       "done: %llu frames, %llu windows, %llu alerts, bus load %.0f%%\n",

@@ -1,14 +1,13 @@
 #include "analysis/backends.h"
 
 #include <algorithm>
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "analysis/registry.h"
 #include "ids/bit_counters.h"
-#include "model/store.h"
 #include "util/contracts.h"
 
 namespace canids::analysis {
@@ -127,12 +126,8 @@ std::optional<WindowVerdict> BitEntropyBackend::finish() {
 }
 
 DetectorInfo BitEntropyBackend::describe() const {
-  DetectorInfo info;
-  info.name = "bit-entropy";
-  info.paper = "Wang, Lu & Qu (SOCC 2018) — this paper";
-  info.state_growth = config_.window.track_pairs
-                          ? "O(1): 11 bit + 55 pair counters"
-                          : "O(1): 11 bit counters";
+  DetectorInfo info = builtin_info(Builtin::kBitEntropy);
+  if (!config_.window.track_pairs) info.state_growth = "O(1): 11 bit counters";
   info.supports_inference = pipeline_.inference_enabled();
   info.state_bytes = config_.window.track_pairs
                          ? ids::PairCounters::state_bytes()
@@ -145,22 +140,6 @@ std::unique_ptr<DetectorBackend> BitEntropyBackend::clone_for_stream(
     std::vector<std::uint32_t> id_pool) const {
   return std::make_unique<BitEntropyBackend>(
       golden_, id_pool.empty() ? id_pool_ : std::move(id_pool), config_);
-}
-
-std::string_view BitEntropyBackend::model_section() const noexcept {
-  return model::kGoldenSection;
-}
-
-void BitEntropyBackend::export_model(std::ostream& out) const {
-  golden_->save(out);
-}
-
-void BitEntropyBackend::import_model(std::istream& in) {
-  golden_ = std::make_shared<const ids::GoldenTemplate>(
-      ids::GoldenTemplate::load(in));
-  // Fresh pipeline against the new template: runtime window state restarts
-  // pristine (import is a cold start, not a mid-window model swap).
-  pipeline_ = ids::IdsPipeline(golden_, id_pool_, config_);
 }
 
 // ---- SymbolEntropyBackend ---------------------------------------------------
@@ -237,11 +216,7 @@ std::optional<WindowVerdict> SymbolEntropyBackend::finish() {
 }
 
 DetectorInfo SymbolEntropyBackend::describe() const {
-  DetectorInfo info;
-  info.name = "symbol-entropy";
-  info.paper = "Muter & Asaj (IV 2011) [8]";
-  info.state_growth = "O(#IDs): one counter per identifier";
-  info.supports_inference = false;
+  DetectorInfo info = builtin_info(Builtin::kSymbolEntropy);
   info.state_bytes = accumulator_.state_bytes();
   info.trained = model_ != nullptr;
   return info;
@@ -253,27 +228,6 @@ std::unique_ptr<DetectorBackend> SymbolEntropyBackend::clone_for_stream(
   // calibrate on their own stream (per-vehicle entropy bands).
   return std::make_unique<SymbolEntropyBackend>(
       pretrained_, config_, window_duration_, calibration_windows_);
-}
-
-std::string_view SymbolEntropyBackend::model_section() const noexcept {
-  return model::kMuterSection;
-}
-
-void SymbolEntropyBackend::export_model(std::ostream& out) const {
-  if (!model_) {
-    throw std::runtime_error(
-        "symbol-entropy: no trained model to export — calibration has not "
-        "finished");
-  }
-  model_->save(out);
-}
-
-void SymbolEntropyBackend::import_model(std::istream& in) {
-  pretrained_ = std::make_shared<const baselines::MuterEntropyIds>(
-      baselines::MuterEntropyIds::load(in));
-  model_ = pretrained_;
-  training_.clear();
-  accumulator_ = baselines::SymbolEntropyAccumulator(window_duration_);
 }
 
 // ---- IntervalBackend --------------------------------------------------------
@@ -365,11 +319,7 @@ std::optional<WindowVerdict> IntervalBackend::finish() {
 }
 
 DetectorInfo IntervalBackend::describe() const {
-  DetectorInfo info;
-  info.name = "interval";
-  info.paper = "Song, Kim & Kim (ICOIN 2016) [11]";
-  info.state_growth = "O(#IDs): learned period per identifier";
-  info.supports_inference = false;
+  DetectorInfo info = builtin_info(Builtin::kInterval);
   info.state_bytes = detector_.state_bytes();
   info.trained = detector_.trained();
   return info;
@@ -382,44 +332,11 @@ std::unique_ptr<DetectorBackend> IntervalBackend::clone_for_stream(
                                            calibration_windows_);
 }
 
-std::string_view IntervalBackend::model_section() const noexcept {
-  return model::kIntervalSection;
-}
-
-void IntervalBackend::export_model(std::ostream& out) const {
-  if (!detector_.trained()) {
-    throw std::runtime_error(
-        "interval: no trained model to export — calibration has not "
-        "finished");
-  }
-  detector_.save(out);
-}
-
-void IntervalBackend::import_model(std::istream& in) {
-  pretrained_ = std::make_shared<const baselines::IntervalIds>(
-      baselines::IntervalIds::load(in));
-  detector_ = *pretrained_;
-  clock_ = util::WindowClock(window_duration_);
-  last_timestamp_ = 0;
-  frames_in_window_ = 0;
-  windows_trained_ = 0;
-}
-
 // ---- EnsembleDetector -------------------------------------------------------
 
-std::string_view ensemble_policy_name(EnsemblePolicy policy) {
-  switch (policy) {
-    case EnsemblePolicy::kVote: return "vote";
-    case EnsemblePolicy::kAny: return "any";
-    case EnsemblePolicy::kAll: return "all";
-  }
-  return "?";
-}
-
 EnsembleDetector::EnsembleDetector(
-    std::vector<std::unique_ptr<DetectorBackend>> members,
-    EnsemblePolicy policy)
-    : members_(std::move(members)), policy_(policy) {
+    std::vector<std::unique_ptr<DetectorBackend>> members)
+    : members_(std::move(members)) {
   CANIDS_EXPECTS_MSG(!members_.empty(),
                      "an ensemble needs at least one member detector");
   for (const auto& member : members_) CANIDS_EXPECTS(member != nullptr);
@@ -454,12 +371,7 @@ WindowVerdict EnsembleDetector::combine(
     }
   }
 
-  std::size_t quorum = 1;
-  switch (policy_) {
-    case EnsemblePolicy::kAny: quorum = 1; break;
-    case EnsemblePolicy::kAll: quorum = std::max<std::size_t>(evaluated, 1); break;
-    case EnsemblePolicy::kVote: quorum = evaluated / 2 + 1; break;
-  }
+  const std::size_t quorum = evaluated / 2 + 1;  // majority of the judges
   verdict.evaluated = evaluated > 0;
   verdict.metric = static_cast<double>(votes);
   verdict.threshold = static_cast<double>(quorum);
@@ -513,12 +425,9 @@ std::optional<WindowVerdict> EnsembleDetector::finish() {
 }
 
 DetectorInfo EnsembleDetector::describe() const {
-  DetectorInfo info;
-  info.name = "ensemble";
-  info.paper = "composition over registered detectors";
-  info.state_growth = "sum of members (" +
-                      std::string(ensemble_policy_name(policy_)) + " of " +
-                      std::to_string(members_.size()) + ")";
+  DetectorInfo info = builtin_info(Builtin::kEnsemble);
+  info.state_growth += " (vote of " + std::to_string(members_.size()) + ")";
+  info.supports_inference = false;
   info.trained = true;
   for (const auto& member : members_) {
     const DetectorInfo member_info = member->describe();
@@ -536,7 +445,7 @@ std::unique_ptr<DetectorBackend> EnsembleDetector::clone_for_stream(
   for (const auto& member : members_) {
     clones.push_back(member->clone_for_stream(id_pool));
   }
-  return std::make_unique<EnsembleDetector>(std::move(clones), policy_);
+  return std::make_unique<EnsembleDetector>(std::move(clones));
 }
 
 }  // namespace canids::analysis

@@ -7,9 +7,7 @@
 //                            MuterEntropyIds).
 //   * IntervalBackend      — Song et al. [11] message-interval IDS (wraps
 //                            IntervalIds, adds the windowing it lacked).
-//   * EnsembleDetector     — vote/any/all composition over member backends;
-//                            the first consumer the old per-detector APIs
-//                            could not express.
+//   * EnsembleDetector     — majority vote of the three above.
 //
 // The baselines support two trained-state modes: a pre-trained immutable
 // model shared across clones (the experiment harness trains one), or
@@ -30,8 +28,7 @@
 namespace canids::analysis {
 
 /// The paper's detector behind the unified interface.
-class BitEntropyBackend final : public DetectorBackend,
-                                public TrainableBackend {
+class BitEntropyBackend final : public DetectorBackend {
  public:
   /// `golden` must be non-null. A non-empty `id_pool` enables malicious-ID
   /// inference on alerting windows.
@@ -57,13 +54,6 @@ class BitEntropyBackend final : public DetectorBackend,
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
-
   /// The wrapped pipeline (bit-level detail beyond the verdict model).
   [[nodiscard]] const ids::IdsPipeline& pipeline() const noexcept {
     return pipeline_;
@@ -81,8 +71,7 @@ class BitEntropyBackend final : public DetectorBackend,
 };
 
 /// Whole-ID-distribution entropy (Müter & Asaj [8]).
-class SymbolEntropyBackend final : public DetectorBackend,
-                                   public TrainableBackend {
+class SymbolEntropyBackend final : public DetectorBackend {
  public:
   /// With a pre-trained `model`, every window is judged from the start;
   /// with nullptr the backend trains itself on the first
@@ -107,15 +96,6 @@ class SymbolEntropyBackend final : public DetectorBackend,
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  /// Exports the active model — pretrained or self-calibrated; throws
-  /// while calibration is still in progress.
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
-
  private:
   [[nodiscard]] WindowVerdict judge(const baselines::SymbolWindow& window);
 
@@ -130,8 +110,7 @@ class SymbolEntropyBackend final : public DetectorBackend,
 };
 
 /// Message-interval IDS (Song et al. [11]) with time-based windowing.
-class IntervalBackend final : public DetectorBackend,
-                              public TrainableBackend {
+class IntervalBackend final : public DetectorBackend {
  public:
   /// With a pre-trained `model` (frozen learned periods, pristine runtime
   /// state), detection starts immediately; with nullptr the backend trains
@@ -156,15 +135,6 @@ class IntervalBackend final : public DetectorBackend,
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  /// Exports the frozen learned periods — pretrained or self-calibrated;
-  /// throws while calibration is still in progress.
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
-
  private:
   [[nodiscard]] WindowVerdict close_window(util::TimeNs start,
                                            util::TimeNs end);
@@ -181,22 +151,14 @@ class IntervalBackend final : public DetectorBackend,
   ids::PipelineCounters counters_;
 };
 
-/// How EnsembleDetector combines member verdicts.
-enum class EnsemblePolicy : std::uint8_t {
-  kVote,  ///< majority of the evaluated members
-  kAny,   ///< at least one evaluated member
-  kAll,   ///< every evaluated member
-};
-
-[[nodiscard]] std::string_view ensemble_policy_name(EnsemblePolicy policy);
-
-/// Runs every member over the same frames and composes their window
-/// verdicts. Members must share one window duration so their windows close
-/// on the same frames (the registry guarantees this).
+/// Runs every member over the same frames and alerts on a majority of the
+/// members that judged the window. Members must share one window duration
+/// so their windows close on the same frames (make_detector builds the
+/// bit-entropy, symbol-entropy and interval members from one options set).
 class EnsembleDetector final : public DetectorBackend {
  public:
-  EnsembleDetector(std::vector<std::unique_ptr<DetectorBackend>> members,
-                   EnsemblePolicy policy);
+  explicit EnsembleDetector(
+      std::vector<std::unique_ptr<DetectorBackend>> members);
 
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
@@ -212,17 +174,11 @@ class EnsembleDetector final : public DetectorBackend {
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] std::size_t member_count() const noexcept {
-    return members_.size();
-  }
-  [[nodiscard]] EnsemblePolicy policy() const noexcept { return policy_; }
-
  private:
   [[nodiscard]] WindowVerdict combine(
       const std::vector<std::pair<std::string, WindowVerdict>>& emitted);
 
   std::vector<std::unique_ptr<DetectorBackend>> members_;
-  EnsemblePolicy policy_;
   ids::PipelineCounters counters_;
 };
 

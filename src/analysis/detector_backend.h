@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "can/frame.h"
@@ -67,39 +65,15 @@ struct WindowVerdict {
 
 /// Static + live description of a backend (the §V.E comparison axes).
 struct DetectorInfo {
-  std::string name;          ///< registry key, e.g. "bit-entropy"
+  std::string name;          ///< detector-table name, e.g. "bit-entropy"
   std::string paper;         ///< source citation
   std::string state_growth;  ///< storage growth law, e.g. "O(1): 11 counters"
   bool supports_inference = false;  ///< can name the malicious identifier
-  /// Live monitoring-state footprint right now; 0 in registry listings.
+  /// Live monitoring-state footprint right now; 0 in table listings.
   std::size_t state_bytes = 0;
   /// Whether the backend holds a trained model (false while a
   /// self-calibrating baseline is still observing its lead-in windows).
   bool trained = false;
-};
-
-/// Serialization interface for backends whose trained state can be
-/// persisted to a model::ModelBundle section and restored without a
-/// training pass. Reached through DetectorBackend::trainable() — backends
-/// with no durable trained state (or none yet, e.g. a still-calibrating
-/// baseline) are simply not trainable at that moment.
-class TrainableBackend {
- public:
-  virtual ~TrainableBackend() = default;
-
-  /// Canonical bundle-section name this backend's model persists under
-  /// (model::kGoldenSection et al. — one section per model kind, shared by
-  /// every instance of the backend).
-  [[nodiscard]] virtual std::string_view model_section() const noexcept = 0;
-
-  /// Serialize the trained model. Throws std::runtime_error when the
-  /// backend holds no trained model yet (self-calibration not finished).
-  virtual void export_model(std::ostream& out) const = 0;
-
-  /// Replace the trained model with a previously exported one. Runtime
-  /// window state restarts pristine; accumulated counters are kept. Throws
-  /// std::runtime_error on a malformed stream.
-  virtual void import_model(std::istream& in) = 0;
 };
 
 /// The immutable trained-model set a RUNNING backend can adopt in place —
@@ -114,17 +88,6 @@ using ModelRefs = model::StoredModels;
 class DetectorBackend {
  public:
   virtual ~DetectorBackend() = default;
-
-  /// The serialization interface, when this backend's trained state is
-  /// persistable (nullptr otherwise — the default). Composite backends
-  /// (ensemble) return nullptr: their members' models persist individually
-  /// through the model store.
-  [[nodiscard]] virtual TrainableBackend* trainable() noexcept {
-    return nullptr;
-  }
-  [[nodiscard]] const TrainableBackend* trainable() const noexcept {
-    return const_cast<DetectorBackend*>(this)->trainable();
-  }
 
   /// Feed one frame. Returns the verdict of a window this frame closed, if
   /// any (alerting or not; check verdict.alert).
@@ -144,8 +107,7 @@ class DetectorBackend {
     }
   }
 
-  /// Hot-swap shared trained models IN PLACE: unlike
-  /// TrainableBackend::import_model (a cold restart), the open window's
+  /// Hot-swap shared trained models IN PLACE: the open window's
   /// accumulated state, the window clock, and all counters are kept — only
   /// the immutable model the next window close is judged against changes.
   /// Adopting the models a backend is already using is therefore a strict

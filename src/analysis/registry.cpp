@@ -1,9 +1,9 @@
 #include "analysis/registry.h"
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <utility>
-
-#include "ids/bit_counters.h"
 
 namespace canids::analysis {
 
@@ -37,121 +37,69 @@ namespace {
 
 [[nodiscard]] std::unique_ptr<DetectorBackend> make_ensemble(
     const DetectorOptions& options) {
-  if (options.ensemble_members.empty()) {
-    throw std::invalid_argument(
-        "detector 'ensemble' requires at least one member name "
-        "(DetectorOptions::ensemble_members)");
-  }
   std::vector<std::unique_ptr<DetectorBackend>> members;
-  members.reserve(options.ensemble_members.size());
-  for (const std::string& member : options.ensemble_members) {
-    if (member == "ensemble") {
-      throw std::invalid_argument(
-          "detector 'ensemble' cannot contain itself as a member");
-    }
-    members.push_back(DetectorRegistry::instance().make(member, options));
-  }
-  return std::make_unique<EnsembleDetector>(std::move(members),
-                                            options.ensemble_policy);
+  members.push_back(make_bit_entropy(options));
+  members.push_back(make_symbol_entropy(options));
+  members.push_back(make_interval(options));
+  return std::make_unique<EnsembleDetector>(std::move(members));
 }
 
-[[nodiscard]] DetectorInfo meta(std::string name, std::string paper,
-                                std::string state_growth,
-                                bool supports_inference) {
-  DetectorInfo info;
-  info.name = std::move(name);
-  info.paper = std::move(paper);
-  info.state_growth = std::move(state_growth);
-  info.supports_inference = supports_inference;
-  return info;
+constexpr std::array<DetectorEntry, 4> kDetectors = {{
+    {"bit-entropy", "Wang, Lu & Qu (SOCC 2018) — this paper",
+     "O(1): 11 bit + 55 pair counters", true, make_bit_entropy},
+    {"symbol-entropy", "Muter & Asaj (IV 2011) [8]",
+     "O(#IDs): one counter per identifier", false, make_symbol_entropy},
+    {"interval", "Song, Kim & Kim (ICOIN 2016) [11]",
+     "O(#IDs): learned period per identifier", false, make_interval},
+    {"ensemble", "composition over registered detectors", "sum of members",
+     true, make_ensemble},
+}};
+
+constexpr bool row_is(Builtin detector, std::string_view name) {
+  return kDetectors[static_cast<std::size_t>(detector)].name == name;
+}
+static_assert(row_is(Builtin::kBitEntropy, "bit-entropy") &&
+              row_is(Builtin::kSymbolEntropy, "symbol-entropy") &&
+              row_is(Builtin::kInterval, "interval") &&
+              row_is(Builtin::kEnsemble, "ensemble"));
+
+[[nodiscard]] const DetectorEntry* find(std::string_view name) noexcept {
+  const auto it = std::find_if(
+      kDetectors.begin(), kDetectors.end(),
+      [&](const DetectorEntry& entry) { return entry.name == name; });
+  return it == kDetectors.end() ? nullptr : &*it;
 }
 
 }  // namespace
 
-DetectorRegistry& DetectorRegistry::instance() {
-  static DetectorRegistry* registry = [] {
-    auto* built = new DetectorRegistry();
-    built->add(meta("bit-entropy", "Wang, Lu & Qu (SOCC 2018) — this paper",
-                    "O(1): 11 bit + 55 pair counters", true),
-               make_bit_entropy);
-    built->add(meta("symbol-entropy", "Muter & Asaj (IV 2011) [8]",
-                    "O(#IDs): one counter per identifier", false),
-               make_symbol_entropy);
-    built->add(meta("interval", "Song, Kim & Kim (ICOIN 2016) [11]",
-                    "O(#IDs): learned period per identifier", false),
-               make_interval);
-    built->add(meta("ensemble", "composition over registered detectors",
-                    "sum of members", true),
-               make_ensemble);
-    return built;
-  }();
-  return *registry;
+std::span<const DetectorEntry> detector_table() noexcept {
+  return kDetectors;
 }
 
-void DetectorRegistry::add(DetectorInfo info, Factory factory) {
-  if (info.name.empty()) {
-    throw std::invalid_argument("detector name must not be empty");
-  }
-  if (!factory) {
-    throw std::invalid_argument("detector factory must not be empty");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& entry : entries_) {
-    if (entry.info.name == info.name) {
-      throw std::invalid_argument("detector '" + info.name +
-                                  "' is already registered");
-    }
-  }
-  entries_.push_back(Entry{std::move(info), std::move(factory)});
+DetectorInfo builtin_info(Builtin detector) {
+  const DetectorEntry& entry = kDetectors[static_cast<std::size_t>(detector)];
+  DetectorInfo info;
+  info.name = entry.name;
+  info.paper = entry.paper;
+  info.state_growth = entry.state_growth;
+  info.supports_inference = entry.supports_inference;
+  return info;
 }
 
-bool DetectorRegistry::contains(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.info.name == name; });
-}
-
-std::vector<std::string> DetectorRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.info.name);
-  return out;
-}
-
-std::vector<DetectorInfo> DetectorRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<DetectorInfo> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.info);
-  return out;
-}
-
-std::unique_ptr<DetectorBackend> DetectorRegistry::make(
-    std::string_view name, const DetectorOptions& options) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& entry : entries_) {
-      if (entry.info.name == name) {
-        factory = entry.factory;
-        break;
-      }
-    }
-  }
-  if (!factory) {
-    std::string message = "unknown detector '" + std::string(name) +
-                          "'; registered detectors:";
-    for (const std::string& known : names()) message += " " + known;
-    throw UnknownDetectorError(message);
-  }
-  // Invoked outside the lock so the ensemble factory can recurse.
-  return factory(options);
+bool is_detector(std::string_view name) noexcept {
+  return find(name) != nullptr;
 }
 
 std::unique_ptr<DetectorBackend> make_detector(std::string_view name,
                                                const DetectorOptions& options) {
-  return DetectorRegistry::instance().make(name, options);
+  if (const DetectorEntry* entry = find(name)) return entry->make(options);
+  std::string message =
+      "unknown detector '" + std::string(name) + "'; registered detectors:";
+  for (const DetectorEntry& entry : kDetectors) {
+    message += " ";
+    message += entry.name;
+  }
+  throw UnknownDetectorError(message);
 }
 
 }  // namespace canids::analysis

@@ -1,18 +1,18 @@
-// String-keyed detector registry with config-driven construction:
+// The detector table: the four built-in backends, constructed by name.
 //
 //   auto backend = analysis::make_detector("interval", options);
 //
-// Built-in backends (bit-entropy, symbol-entropy, interval, ensemble) are
-// registered on first use; library users can add their own factories and
-// they become available everywhere a detector name is accepted — the CLI's
-// --detector flag, the fleet engine, and the experiment harness.
+// The table is fixed at compile time and is the one home of each
+// detector's name, paper citation and state-growth law: `canids detectors`
+// lists it, every backend's describe() reads its own row, and every place
+// a detector name is accepted — the CLI's --detector flag, the fleet
+// engine, the experiment harness — resolves the name here.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -25,15 +25,15 @@
 namespace canids::analysis {
 
 /// Everything a factory may need; each backend reads its slice and ignores
-/// the rest, so one options object drives any registered detector.
+/// the rest, so one options object drives any detector in the table.
 struct DetectorOptions {
   /// Windowing (shared by all backends: one duration, aligned windows),
   /// detector alpha, and inference knobs for the bit-entropy backend.
   ids::PipelineConfig pipeline;
 
   // -- bit-entropy ----------------------------------------------------------
-  /// Trained golden template; required by "bit-entropy" (and by an
-  /// "ensemble" containing it).
+  /// Trained golden template; required by "bit-entropy" (and so by
+  /// "ensemble", which contains it).
   std::shared_ptr<const ids::GoldenTemplate> golden;
   /// Legal identifier set; non-empty enables malicious-ID inference.
   std::vector<std::uint32_t> id_pool;
@@ -47,58 +47,43 @@ struct DetectorOptions {
   std::shared_ptr<const baselines::MuterEntropyIds> muter_model;
   std::shared_ptr<const baselines::IntervalIds> interval_model;
   std::size_t calibration_windows = 10;
-
-  // -- ensemble -------------------------------------------------------------
-  /// Member detector names; must not include "ensemble" itself.
-  std::vector<std::string> ensemble_members = {"bit-entropy", "symbol-entropy",
-                                               "interval"};
-  EnsemblePolicy ensemble_policy = EnsemblePolicy::kVote;
 };
 
-/// Thrown by make_detector for names not in the registry; the message
-/// lists every registered name.
+/// Thrown by make_detector for names not in the table; the message lists
+/// every detector name.
 class UnknownDetectorError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
 
-class DetectorRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<DetectorBackend>(const DetectorOptions&)>;
-
-  struct Entry {
-    DetectorInfo info;  ///< static metadata (state_bytes/trained unset)
-    Factory factory;
-  };
-
-  /// The process-wide registry, with the four built-ins pre-registered.
-  [[nodiscard]] static DetectorRegistry& instance();
-
-  /// Register a backend. Throws std::invalid_argument on a duplicate or
-  /// empty name.
-  void add(DetectorInfo info, Factory factory);
-
-  [[nodiscard]] bool contains(std::string_view name) const;
-  /// Registered names in registration order (built-ins first).
-  [[nodiscard]] std::vector<std::string> names() const;
-  /// Static metadata of every registered backend, registration order.
-  [[nodiscard]] std::vector<DetectorInfo> list() const;
-
-  /// Construct a backend. Throws UnknownDetectorError for unknown names
-  /// and std::invalid_argument when `options` misses required pieces
-  /// (e.g. no golden template for "bit-entropy").
-  [[nodiscard]] std::unique_ptr<DetectorBackend> make(
-      std::string_view name, const DetectorOptions& options) const;
-
- private:
-  DetectorRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+/// Row positions of the built-ins in detector_table() (listing order).
+enum class Builtin : std::uint8_t {
+  kBitEntropy,
+  kSymbolEntropy,
+  kInterval,
+  kEnsemble,
 };
 
-/// Convenience over DetectorRegistry::instance().make().
+/// One row of the detector table.
+struct DetectorEntry {
+  std::string_view name;
+  std::string_view paper;
+  std::string_view state_growth;
+  bool supports_inference = false;
+  std::unique_ptr<DetectorBackend> (*make)(const DetectorOptions&) = nullptr;
+};
+
+/// The four built-ins, in listing order (indexed by Builtin).
+[[nodiscard]] std::span<const DetectorEntry> detector_table() noexcept;
+
+/// The static metadata of a built-in's row (state_bytes/trained unset).
+[[nodiscard]] DetectorInfo builtin_info(Builtin detector);
+
+[[nodiscard]] bool is_detector(std::string_view name) noexcept;
+
+/// Construct a backend. Throws UnknownDetectorError for unknown names
+/// and std::invalid_argument when `options` misses required pieces
+/// (e.g. no golden template for "bit-entropy").
 [[nodiscard]] std::unique_ptr<DetectorBackend> make_detector(
     std::string_view name, const DetectorOptions& options = {});
 

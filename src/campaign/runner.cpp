@@ -12,6 +12,7 @@
 
 #include "analysis/registry.h"
 #include "ids/golden_template.h"
+#include "model/store.h"
 #include "trace/trace_io.h"
 
 namespace canids::campaign {
@@ -29,7 +30,7 @@ double elapsed_seconds(std::chrono::steady_clock::time_point since) {
 CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec)) {
   spec_.validate();
   for (const std::string& name : spec_.detectors) {
-    if (!analysis::DetectorRegistry::instance().contains(name)) {
+    if (!analysis::is_detector(name)) {
       throw analysis::UnknownDetectorError(
           "campaign spec: unknown detector '" + name + "'");
     }
@@ -125,7 +126,8 @@ void CampaignRunner::train_once() {
   if (!spec_.model_path.empty()) {
     // Full cold start: every model the bundle carries is adopted; only
     // pieces the bundle lacks (and a requested backend needs) are trained.
-    master.adopt_models(metrics::SharedModels::from_file(spec_.model_path));
+    master.adopt_models(
+        metrics::SharedModels{model::load_models_file(spec_.model_path), {}});
   }
   if (!spec_.template_path.empty()) {
     std::ifstream in(spec_.template_path);

@@ -14,7 +14,7 @@
 namespace canids::engine {
 
 /// One alerting window attributed to the stream (vehicle/channel) it came
-/// from. The verdict is backend-agnostic: any registered detector's alerts
+/// from. The verdict is backend-agnostic: any detector's alerts
 /// flow through the same sink.
 struct FleetAlert {
   std::string stream;

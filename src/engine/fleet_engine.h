@@ -21,7 +21,7 @@
 //
 // The paper's bit-entropy detector stays the cheapest replicable backend
 // (11 counters + one shared template per stream) and remains the default,
-// but any registered detector — symbol-entropy, interval, ensemble — now
+// but any detector — symbol-entropy, interval, ensemble — now
 // routes through the same engine.
 #pragma once
 
@@ -162,7 +162,7 @@ class FleetEngine {
     StreamState* state_;
   };
 
-  /// Primary constructor: any registered detector backend; per-stream
+  /// Primary constructor: any detector backend; per-stream
   /// instances are stamped out with prototype->clone_for_stream().
   FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
               FleetConfig config = {});

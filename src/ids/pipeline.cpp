@@ -13,7 +13,7 @@ IdsPipeline::IdsPipeline(std::shared_ptr<const GoldenTemplate> golden,
     : config_(config),
       accumulator_(config.window),
       detector_(golden, config.detector) {
-  if (config_.infer_on_alert && !id_pool.empty()) {
+  if (!id_pool.empty()) {
     inference_.emplace(std::move(golden), std::move(id_pool),
                        config_.inference);
   }
@@ -58,7 +58,6 @@ WindowReport IdsPipeline::judge(WindowSnapshot snapshot) {
     }
   }
   report.snapshot = std::move(snapshot);
-  if (report.detection.alert && alert_handler_) alert_handler_(report);
   return report;
 }
 

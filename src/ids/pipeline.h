@@ -4,7 +4,6 @@
 // simulator and the trace formats.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -19,8 +18,6 @@ struct PipelineConfig {
   WindowConfig window;
   DetectorConfig detector;
   InferenceConfig inference;
-  /// Run ID inference on alerted windows (costs a candidate search).
-  bool infer_on_alert = true;
 };
 
 /// Everything known about one closed window.
@@ -108,17 +105,12 @@ class IdsPipeline {
   /// std::invalid_argument otherwise, leaving the pipeline untouched.
   void rebind(std::shared_ptr<const GoldenTemplate> golden);
 
-  /// Optional sink invoked for every alerting window.
-  void set_alert_handler(std::function<void(const WindowReport&)> handler) {
-    alert_handler_ = std::move(handler);
-  }
-
   [[nodiscard]] const PipelineCounters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] const Detector& detector() const noexcept { return detector_; }
   /// Whether alerted windows get a malicious-ID inference pass (requires a
-  /// non-empty id pool and config.infer_on_alert).
+  /// non-empty id pool).
   [[nodiscard]] bool inference_enabled() const noexcept {
     return inference_.has_value();
   }
@@ -139,7 +131,6 @@ class IdsPipeline {
   Detector detector_;
   std::optional<InferenceEngine> inference_;
   PipelineCounters counters_;
-  std::function<void(const WindowReport&)> alert_handler_;
   std::vector<WindowSnapshot> snapshot_scratch_;  ///< on_frames buffer
 };
 

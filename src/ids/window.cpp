@@ -6,11 +6,7 @@ namespace canids::ids {
 
 WindowAccumulator::WindowAccumulator(WindowConfig config)
     : config_(config), clock_(config.duration) {
-  if (config_.mode == WindowConfig::Mode::kByTime) {
-    CANIDS_EXPECTS(config_.duration > 0);
-  } else {
-    CANIDS_EXPECTS(config_.frame_count > 0);
-  }
+  CANIDS_EXPECTS(config_.duration > 0);
 }
 
 WindowSnapshot WindowAccumulator::snapshot(util::TimeNs start,
@@ -33,38 +29,14 @@ WindowSnapshot WindowAccumulator::snapshot(util::TimeNs start,
 
 std::optional<WindowSnapshot> WindowAccumulator::add(util::TimeNs timestamp,
                                                      const can::CanId& id) {
-  std::optional<WindowSnapshot> emitted;
-
-  if (config_.mode == WindowConfig::Mode::kByTime) {
-    emitted = advance(timestamp);
-    count_one(id);
-  } else {
-    if (!clock_.started()) clock_.restart(timestamp);
-    count_one(id);
-    if (counters_.total() >= config_.frame_count) {
-      emitted = snapshot(clock_.start(), timestamp);
-      counters_.reset();
-      clock_.restart(timestamp);
-    }
-  }
-
-  last_timestamp_ = timestamp;
+  std::optional<WindowSnapshot> emitted = advance(timestamp);
+  count_one(id);
   return emitted;
 }
 
 void WindowAccumulator::add_batch(const can::TimedId* frames,
                                   std::size_t count,
                                   std::vector<WindowSnapshot>& out) {
-  if (config_.mode != WindowConfig::Mode::kByTime) {
-    // Count windows close on exact frame totals; the per-frame path is
-    // already just a counter increment, so batching buys nothing here.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (auto snap = add(frames[i].timestamp, frames[i].id)) {
-        out.push_back(std::move(*snap));
-      }
-    }
-    return;
-  }
   std::size_t i = 0;
   while (i < count) {
     if (!clock_.started()) clock_.restart(frames[i].timestamp);
@@ -97,11 +69,6 @@ void WindowAccumulator::add_batch(const can::TimedId* frames,
 
 std::optional<WindowSnapshot> WindowAccumulator::advance(
     util::TimeNs timestamp) {
-  if (config_.mode != WindowConfig::Mode::kByTime) {
-    if (!clock_.started()) clock_.restart(timestamp);
-    last_timestamp_ = timestamp;
-    return std::nullopt;
-  }
   std::optional<WindowSnapshot> emitted;
   if (const auto end = clock_.advance(timestamp)) {
     if (counters_.total() > 0) {

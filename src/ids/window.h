@@ -1,6 +1,6 @@
 // Windowing of the identifier stream. The paper's detector reacts "in a
-// time period of as short as 1 s"; we default to 1-second windows but also
-// support fixed-count windows for count-controlled experiments.
+// time period of as short as 1 s"; windows are fixed time spans, 1 s by
+// default.
 #pragma once
 
 #include <cstdint>
@@ -38,27 +38,22 @@ struct WindowSnapshot {
 };
 
 struct WindowConfig {
-  enum class Mode : std::uint8_t { kByTime, kByCount };
-  Mode mode = Mode::kByTime;
-  /// Window length when mode == kByTime.
+  /// Window length.
   util::TimeNs duration = util::kSecond;
-  /// Window length when mode == kByCount.
-  std::uint64_t frame_count = 1000;
   /// Track pairwise bit co-occurrence (needed by the multi-ID inference
   /// extension; costs 55 extra counters, still O(1) in the ID count).
   bool track_pairs = true;
 };
 
 /// Accumulates identifiers and emits a WindowSnapshot whenever a window
-/// closes. Time-based windows are aligned to the first frame's timestamp;
-/// empty windows (bus silence) are skipped rather than emitted.
+/// closes. Windows are aligned to the first frame's timestamp; empty
+/// windows (bus silence) are skipped rather than emitted.
 class WindowAccumulator {
  public:
   explicit WindowAccumulator(WindowConfig config = {});
 
   /// Feed one identifier; returns a snapshot when this frame closed the
-  /// previous window (the frame itself is counted in the new window for
-  /// time-based mode, or in the snapshot for count-based mode).
+  /// previous window (the frame itself is counted in the new window).
   std::optional<WindowSnapshot> add(util::TimeNs timestamp,
                                     const can::CanId& id);
 
@@ -74,8 +69,7 @@ class WindowAccumulator {
   /// caller must skip (e.g. width-mismatched identifiers) that still carry
   /// time. Keeps this accumulator's window boundaries aligned with
   /// detectors that do consume the skipped frame; may close a window
-  /// exactly like add(). Time-based mode only (count windows have no
-  /// clock to advance).
+  /// exactly like add().
   std::optional<WindowSnapshot> advance(util::TimeNs timestamp);
 
   /// Emit whatever has accumulated (e.g. at end of trace); empty -> nullopt.

@@ -170,40 +170,10 @@ ScenarioSummary summarize(attacks::ScenarioKind kind,
   return summary;
 }
 
-model::StoredModels SharedModels::stored() const {
-  model::StoredModels out;
-  out.golden = golden;
-  out.muter = muter;
-  out.interval = interval;
-  return out;
-}
-
-SharedModels SharedModels::from_stored(const model::StoredModels& stored) {
-  SharedModels models;
-  models.golden = stored.golden;
-  models.muter = stored.muter;
-  models.interval = stored.interval;
-  return models;
-}
-
-model::ModelBundle SharedModels::to_bundle() const {
-  return model::pack(stored());
-}
-
-SharedModels SharedModels::from_bundle(const model::ModelBundle& bundle) {
-  return from_stored(model::unpack(bundle));
-}
-
-SharedModels SharedModels::from_file(const std::filesystem::path& path) {
-  return from_stored(model::load_models_file(path));
-}
-
 ExperimentRunner::ExperimentRunner(ExperimentConfig config)
     : config_(config), vehicle_(config.vehicle) {
   CANIDS_EXPECTS(config_.training_windows >= 2);
   CANIDS_EXPECTS(config_.attack_duration > 0);
-  CANIDS_EXPECTS(config_.pipeline.window.mode ==
-                 ids::WindowConfig::Mode::kByTime);
 }
 
 const ids::GoldenTemplate& ExperimentRunner::train() {
@@ -455,10 +425,6 @@ ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
   BackendModelNeeds needs;
   needs.muter = name == "symbol-entropy" || name == "ensemble";
   needs.interval = name == "interval" || name == "ensemble";
-  if (name != "bit-entropy" && name != "symbol-entropy" &&
-      name != "interval" && name != "ensemble") {
-    needs.muter = needs.interval = true;
-  }
   return needs;
 }
 

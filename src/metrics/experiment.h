@@ -2,7 +2,7 @@
 // does (35 windows over diverse driving behaviours) and the two baseline
 // models, then runs trials. Every trial — a synthetic attack on the
 // simulated bus, a single-ID sweep, or a recorded capture — drives one
-// registered detector backend and returns an InstrumentedTrial, scored by
+// detector backend and returns an InstrumentedTrial, scored by
 // one rule set: frame detection rate, window confusion, inference
 // accuracy, injection rate, and the per-window observation log that ROC
 // and latency metrics need. summarize() aggregates the trials of one
@@ -80,7 +80,7 @@ struct WindowObservation {
                          const WindowObservation&) = default;
 };
 
-/// Outcome of one trial: any registered backend over an attacked drive or
+/// Outcome of one trial: any detector backend over an attacked drive or
 /// a recorded capture, with the paper-methodology aggregates (frame
 /// detection rate, window confusion, inference accuracy, injection rate)
 /// PLUS the per-window observation log that ROC and latency metrics need.
@@ -154,36 +154,18 @@ struct ScenarioSummary {
     attacks::ScenarioKind kind, std::span<const InstrumentedTrial> trials);
 
 /// Everything an ExperimentRunner trains lazily, bundled as immutable
-/// shared handles. A campaign trains ONE runner and hands the bundle to
-/// every worker runner, so an N-trial sweep pays one training pass instead
-/// of one per worker (or, before this existed, one per trial call site).
-struct SharedModels {
-  std::shared_ptr<const ids::GoldenTemplate> golden;
+/// shared handles: the model-store set plus the golden template's training
+/// windows. A campaign trains ONE runner and hands the bundle to every
+/// worker runner, so an N-trial sweep pays one training pass instead of
+/// one per worker. model::pack / model::unpack persist the model-store
+/// slice.
+struct SharedModels : model::StoredModels {
+  /// Measurement by-products of training the golden template (Fig. 2, the
+  /// stability bench), not a model: they never persist.
   std::vector<ids::WindowSnapshot> training_snapshots;
-  std::shared_ptr<const baselines::MuterEntropyIds> muter;
-  std::shared_ptr<const baselines::IntervalIds> interval;
 
-  /// The persistable slice of this set (training_snapshots are measurement
-  /// by-products, not a model) — the ONE conversion between the harness's
-  /// shared handles and the model store's.
-  [[nodiscard]] model::StoredModels stored() const;
-  [[nodiscard]] static SharedModels from_stored(
-      const model::StoredModels& stored);
-
-  /// Pack every trained model into a versioned ModelBundle. Throws
-  /// std::invalid_argument when nothing is trained.
-  [[nodiscard]] model::ModelBundle to_bundle() const;
-
-  /// Cold-start bundle load: every section becomes the corresponding
-  /// shared handle. A partial bundle yields a partial SharedModels —
-  /// absent pieces stay lazily trainable wherever the bundle is adopted.
-  [[nodiscard]] static SharedModels from_bundle(
-      const model::ModelBundle& bundle);
-
-  /// As from_bundle, over model::load_models_file (bundle or legacy bare
-  /// golden-template file).
-  [[nodiscard]] static SharedModels from_file(
-      const std::filesystem::path& path);
+  /// A copy of the persistable slice (a SharedModels already is one).
+  [[nodiscard]] model::StoredModels stored() const { return *this; }
 };
 
 class ExperimentRunner {
@@ -240,9 +222,7 @@ class ExperimentRunner {
   interval_model();
 
   /// Which lazily-trained baseline models a backend name consumes — the
-  /// single gating rule shared by make_backend and by campaign training
-  /// (unknown custom names get everything, since their factories may read
-  /// any slice).
+  /// single gating rule shared by make_backend and by campaign training.
   struct BackendModelNeeds {
     bool muter = false;
     bool interval = false;
@@ -250,7 +230,7 @@ class ExperimentRunner {
   [[nodiscard]] static BackendModelNeeds backend_model_needs(
       std::string_view name) noexcept;
 
-  /// A registered backend wired with this runner's golden template, the
+  /// A detector-table backend wired with this runner's golden template, the
   /// vehicle's id pool, the pipeline config, and the baseline models the
   /// name needs (trained on first use).
   [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_backend(
@@ -258,7 +238,7 @@ class ExperimentRunner {
 
   // ---- trials ---------------------------------------------------------------
 
-  /// Run one attack trial through any registered backend: the vehicle
+  /// Run one attack trial through any detector backend: the vehicle
   /// drives clean for `clean_lead_in`, then the attacker runs for
   /// `attack_duration`. `trial_seed` individualises the run; the driving
   /// behaviour is rotated from it.
@@ -272,7 +252,7 @@ class ExperimentRunner {
       std::string_view backend, std::uint32_t id, double frequency_hz,
       std::uint64_t trial_seed);
 
-  /// Replay a recorded capture through any registered backend instead of
+  /// Replay a recorded capture through any detector backend instead of
   /// driving the synthetic vehicle. Timestamps are normalized to the
   /// capture's first frame, so recordings with absolute epoch times score
   /// correctly against the capture-relative label intervals. Ground truth

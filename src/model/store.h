@@ -19,7 +19,7 @@
 
 namespace canids::model {
 
-/// Section names, one per trained model (matching the detector-registry
+/// Section names, one per trained model (matching the detector-table
 /// backend each model belongs to).
 inline constexpr std::string_view kGoldenSection = "golden-template";
 inline constexpr std::string_view kMuterSection = "symbol-entropy";

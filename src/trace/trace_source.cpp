@@ -86,6 +86,16 @@ std::size_t MemorySource::fill(std::vector<can::TimedFrame>& out,
   return take;
 }
 
+std::size_t MemorySource::fill_ids(std::vector<can::TimedId>& out,
+                                   std::size_t max) {
+  const std::size_t take = std::min(max, frames_.size() - index_);
+  for (std::size_t i = index_; i < index_ + take; ++i) {
+    out.push_back(can::TimedId{frames_[i].timestamp, frames_[i].frame.id()});
+  }
+  index_ += take;
+  return take;
+}
+
 BusStreamSource::BusStreamSource(can::BusSimulator& bus, util::TimeNs duration,
                                  util::TimeNs chunk)
     : bus_(bus),

@@ -42,7 +42,7 @@ class TraceSource {
   /// path. Same return value and error contract as fill(): on a throw,
   /// the ids of the frames decoded before the fault are already in `out`.
   /// The base implementation reduces fill() through a reused scratch
-  /// buffer; BinaryTraceSource decodes its records straight to TimedId.
+  /// buffer; MemorySource and BinaryTraceSource reduce straight to TimedId.
   virtual std::size_t fill_ids(std::vector<can::TimedId>& out,
                                std::size_t max);
 
@@ -79,6 +79,9 @@ class MemorySource final : public TraceSource {
   std::optional<can::TimedFrame> next() override;
   std::size_t fill(std::vector<can::TimedFrame>& out,
                    std::size_t max) override;
+  /// Reduces straight from the stored frames, with no TimedFrame copy.
+  std::size_t fill_ids(std::vector<can::TimedId>& out,
+                       std::size_t max) override;
 
  private:
   std::vector<can::TimedFrame> frames_;

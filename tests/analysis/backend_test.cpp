@@ -4,13 +4,14 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "analysis/registry.h"
+#include "baselines/interval_ids.h"
+#include "baselines/muter_entropy.h"
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
+#include "model/store.h"
 #include "util/rng.h"
 
 namespace canids::analysis {
@@ -222,10 +223,9 @@ TEST(IntervalBackendTest, VerdictMetricIsPeakViolations) {
 
 TEST(EnsembleDetectorTest, CombinesMembersAndNamesVoters) {
   const BackendWorld world;
-  DetectorOptions options = world.options(3);
-  options.ensemble_policy = EnsemblePolicy::kAny;
-  const auto backend = make_detector("ensemble", options);
+  const auto backend = make_detector("ensemble", world.options(3));
   EXPECT_EQ(backend->describe().name, "ensemble");
+  EXPECT_EQ(backend->describe().state_growth, "sum of members (vote of 3)");
 
   const auto verdicts =
       run_backend(*backend, world.make_trace(7, 6, {4, 5}));
@@ -233,32 +233,18 @@ TEST(EnsembleDetectorTest, CombinesMembersAndNamesVoters) {
   for (const WindowVerdict& verdict : verdicts) {
     if (!verdict.alert) continue;
     ASSERT_TRUE(verdict.detail.has_value());
-    ASSERT_FALSE(verdict.detail->voters.empty());
     for (const std::string& voter : verdict.detail->voters) {
       EXPECT_TRUE(voter == "bit-entropy" || voter == "symbol-entropy" ||
                   voter == "interval")
           << "unexpected voter " << voter;
     }
-    // votes >= quorum, and the quorum under kAny is 1.
+    // The attacked windows come after calibration, so all three members
+    // judge them and the majority quorum is 2; votes == voters.
+    EXPECT_EQ(verdict.threshold, 2.0);
+    EXPECT_EQ(verdict.metric,
+              static_cast<double>(verdict.detail->voters.size()));
     EXPECT_GE(verdict.metric, verdict.threshold);
-    EXPECT_EQ(verdict.threshold, 1.0);
   }
-}
-
-TEST(EnsembleDetectorTest, AllPolicyIsStricterThanAny) {
-  const BackendWorld world;
-  DetectorOptions any_options = world.options(3);
-  any_options.ensemble_policy = EnsemblePolicy::kAny;
-  DetectorOptions all_options = world.options(3);
-  all_options.ensemble_policy = EnsemblePolicy::kAll;
-
-  const auto trace = world.make_trace(8, 6, {4, 5});
-  const auto any_backend = make_detector("ensemble", any_options);
-  const auto all_backend = make_detector("ensemble", all_options);
-  const std::size_t any_alerts = alert_count(run_backend(*any_backend, trace));
-  const std::size_t all_alerts = alert_count(run_backend(*all_backend, trace));
-  EXPECT_GE(any_alerts, all_alerts);
-  EXPECT_GT(any_alerts, 0u);
 }
 
 TEST(EnsembleDetectorTest, WindowsStayAlignedAcrossMembers) {
@@ -303,70 +289,54 @@ TEST(EnsembleDetectorTest, StaysAlignedWhenBitMemberDropsFrames) {
   EXPECT_GT(backend->counters().dropped_frames, 0u);
 }
 
-TEST(TrainableBackendTest, SingleBackendsAreTrainableEnsembleIsNot) {
+TEST(PretrainedBackendTest, BundledModelsJudgeFromTheFirstWindow) {
   const BackendWorld world;
-  for (const char* name : {"bit-entropy", "symbol-entropy", "interval"}) {
-    const auto backend = make_detector(name, world.options(2));
-    EXPECT_NE(backend->trainable(), nullptr) << name;
-  }
-  // The ensemble's members persist individually through the model store.
-  const auto ensemble = make_detector("ensemble", world.options(2));
-  EXPECT_EQ(ensemble->trainable(), nullptr);
-}
-
-TEST(TrainableBackendTest, ExportImportRoundTripsEveryModelKind) {
-  const BackendWorld world;
+  // Train the two baseline models directly on clean traffic.
   const auto clean = world.make_trace(3, 4);
+  baselines::SymbolEntropyAccumulator accumulator(kSecond);
+  std::vector<baselines::SymbolWindow> symbol_windows;
+  baselines::IntervalIds interval(world.options().interval);
+  for (const can::TimedFrame& frame : clean) {
+    const std::uint32_t id = frame.frame.id().raw();
+    if (auto window = accumulator.add(frame.timestamp, id)) {
+      symbol_windows.push_back(std::move(*window));
+    }
+    interval.train(frame.timestamp, id);
+  }
+  interval.finish_training();
+  model::StoredModels trained;
+  trained.golden = world.golden;
+  trained.muter = std::make_shared<const baselines::MuterEntropyIds>(
+      symbol_windows, world.options().muter);
+  trained.interval =
+      std::make_shared<const baselines::IntervalIds>(std::move(interval));
+
+  // Backends built from the bundle round trip, with no calibration.
+  const model::StoredModels unpacked = model::unpack(model::pack(trained));
+  DetectorOptions options = world.options(2);
+  options.golden = unpacked.golden;
+  options.muter_model = unpacked.muter;
+  options.interval_model = unpacked.interval;
+
   const auto probe = world.make_trace(11, 6, {2, 4});
   for (const char* name : {"bit-entropy", "symbol-entropy", "interval"}) {
-    // Donor: pretrained (bit-entropy) or self-calibrated on clean traffic.
-    const auto donor = make_detector(name, world.options(2));
-    (void)run_backend(*donor, clean);
-    ASSERT_NE(donor->trainable(), nullptr) << name;
-    std::ostringstream exported;
-    donor->trainable()->export_model(exported);
-
-    // Receiver: a fresh backend with NO pretrained model. Importing must
-    // hand it the donor's exact model (byte-identical re-export) as shared
-    // pretrained state — clones inherit it and judge in lockstep.
-    DetectorOptions blank = world.options(2);
-    blank.muter_model = nullptr;
-    blank.interval_model = nullptr;
-    const auto receiver = make_detector(name, blank);
-    std::istringstream in(exported.str());
-    receiver->trainable()->import_model(in);
-
-    std::ostringstream reexported;
-    receiver->trainable()->export_model(reexported);
-    EXPECT_EQ(reexported.str(), exported.str()) << name;
-
-    const auto sibling = receiver->clone_for_stream();
-    const auto actual = run_backend(*receiver, probe);
+    const auto backend = make_detector(name, options);
+    EXPECT_TRUE(backend->describe().trained) << name;
+    // Clones share the pretrained model and judge in lockstep.
+    const auto sibling = backend->clone_for_stream();
+    const auto actual = run_backend(*backend, probe);
     const auto expected = run_backend(*sibling, probe);
     ASSERT_EQ(actual.size(), expected.size()) << name;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i], expected[i]) << name << " window " << i;
     }
-    // The imported model is live from the very first window: no verdict is
-    // a calibration placeholder, and the injected bursts are caught.
+    // The model is live from the very first window: no verdict is a
+    // calibration placeholder, and the injected bursts are caught.
     ASSERT_FALSE(actual.empty()) << name;
     for (const WindowVerdict& verdict : actual) {
       EXPECT_TRUE(verdict.evaluated) << name;
     }
     EXPECT_GT(alert_count(actual), 0u) << name;
-  }
-}
-
-TEST(TrainableBackendTest, ExportBeforeCalibrationThrows) {
-  const BackendWorld world;
-  DetectorOptions blank = world.options(4);
-  blank.muter_model = nullptr;
-  blank.interval_model = nullptr;
-  for (const char* name : {"symbol-entropy", "interval"}) {
-    const auto backend = make_detector(name, blank);
-    std::ostringstream out;
-    EXPECT_THROW(backend->trainable()->export_model(out), std::runtime_error)
-        << name;
   }
 }
 

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
@@ -39,21 +40,36 @@ namespace {
   return options;
 }
 
-TEST(DetectorRegistryTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> names =
-      DetectorRegistry::instance().names();
-  for (const char* expected :
-       {"bit-entropy", "symbol-entropy", "interval", "ensemble"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << "missing built-in " << expected;
-    EXPECT_TRUE(DetectorRegistry::instance().contains(expected));
+TEST(DetectorRegistryTest, TableListsTheFourBuiltinsInOrder) {
+  std::vector<std::string_view> names;
+  for (const DetectorEntry& entry : detector_table()) {
+    names.push_back(entry.name);
+    EXPECT_TRUE(is_detector(entry.name));
+  }
+  const std::vector<std::string_view> expected = {
+      "bit-entropy", "symbol-entropy", "interval", "ensemble"};
+  EXPECT_EQ(names, expected);
+  EXPECT_FALSE(is_detector("no-such-detector"));
+}
+
+TEST(DetectorRegistryTest, DescribeReadsItsTableRow) {
+  const DetectorOptions options = options_with_template();
+  for (const DetectorEntry& entry : detector_table()) {
+    const DetectorInfo info = make_detector(entry.name, options)->describe();
+    EXPECT_EQ(info.name, entry.name);
+    EXPECT_EQ(info.paper, entry.paper);
+    if (entry.name == "ensemble") {
+      EXPECT_EQ(info.state_growth, "sum of members (vote of 3)");
+    } else {
+      EXPECT_EQ(info.state_growth, entry.state_growth) << entry.name;
+    }
   }
 }
 
 TEST(DetectorRegistryTest, RoundTripEveryBuiltin) {
   const DetectorOptions options = options_with_template();
-  for (const char* name :
-       {"bit-entropy", "symbol-entropy", "interval", "ensemble"}) {
+  for (const DetectorEntry& entry : detector_table()) {
+    const std::string_view name = entry.name;
     const std::unique_ptr<DetectorBackend> backend =
         make_detector(name, options);
     ASSERT_NE(backend, nullptr) << name;
@@ -84,36 +100,7 @@ TEST(DetectorRegistryTest, BitEntropyRequiresGoldenTemplate) {
                std::invalid_argument);
   EXPECT_THROW((void)make_detector("ensemble", options),
                std::invalid_argument)
-      << "the default ensemble contains bit-entropy";
-}
-
-TEST(DetectorRegistryTest, EnsembleRejectsSelfReference) {
-  DetectorOptions options = options_with_template();
-  options.ensemble_members = {"ensemble"};
-  EXPECT_THROW((void)make_detector("ensemble", options),
-               std::invalid_argument);
-}
-
-TEST(DetectorRegistryTest, CustomBackendsCanRegisterAndConstruct) {
-  DetectorInfo info;
-  info.name = "custom-test-backend";
-  info.paper = "registry_test.cpp";
-  info.state_growth = "O(1)";
-  // Piggyback on the symbol backend so the factory stays tiny.
-  auto factory = [](const DetectorOptions& options) {
-    return std::make_unique<SymbolEntropyBackend>(
-        options.muter_model, options.muter, options.pipeline.window.duration,
-        options.calibration_windows);
-  };
-  DetectorRegistry::instance().add(info, factory);
-  EXPECT_TRUE(DetectorRegistry::instance().contains("custom-test-backend"));
-  const std::unique_ptr<DetectorBackend> backend =
-      make_detector("custom-test-backend", options_with_template());
-  ASSERT_NE(backend, nullptr);
-
-  // Duplicate registration is rejected loudly.
-  EXPECT_THROW(DetectorRegistry::instance().add(info, factory),
-               std::invalid_argument);
+      << "the ensemble contains bit-entropy";
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "ids/golden_template.h"
 #include "metrics/experiment.h"
 #include "model/bundle.h"
+#include "model/store.h"
 #include "trace/trace_io.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -495,9 +496,12 @@ TEST(CampaignRunnerTest, ColdStartsFromSavedTemplate) {
 // ---- model-bundle cold start -----------------------------------------------
 
 TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
-  // Every registered backend in one grid; short drives keep it fast.
+  // Every detector-table backend in one grid; short drives keep it fast.
   CampaignSpec spec = quick_spec();
-  spec.detectors = analysis::DetectorRegistry::instance().names();
+  spec.detectors.clear();
+  for (const analysis::DetectorEntry& entry : analysis::detector_table()) {
+    spec.detectors.emplace_back(entry.name);
+  }
   spec.seeds = 1;
 
   // In-process training run, whose models become the bundle...
@@ -508,7 +512,7 @@ TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
       std::filesystem::temp_directory_path() / "canids_campaign_bundle_test";
   {
     std::ofstream out(path, std::ios::binary);
-    warm_runner.models().to_bundle().save(out);
+    model::pack(warm_runner.models()).save(out);
   }
 
   // ...and the bundle cold-start must reproduce it byte-for-byte with

@@ -96,7 +96,6 @@ struct FleetWorld {
 
   [[nodiscard]] PipelineConfig pipeline_config() const {
     PipelineConfig config;
-    config.window.mode = WindowConfig::Mode::kByTime;
     config.window.duration = kSecond;
     return config;
   }
@@ -149,8 +148,8 @@ TEST(FleetEngineTest, ShardedRunMatchesSequentialForEveryRegisteredBackend) {
   traces["car-02"] = world.make_trace(3, 6);
   traces["car-03"] = world.make_trace(4, 6, {1});
 
-  for (const std::string& name :
-       analysis::DetectorRegistry::instance().names()) {
+  for (const analysis::DetectorEntry& entry : analysis::detector_table()) {
+    const std::string_view name = entry.name;
     const std::unique_ptr<analysis::DetectorBackend> reference =
         analysis::make_detector(name, world.backend_options());
 

@@ -69,7 +69,6 @@ struct PipelineWorld {
 
 PipelineConfig tight_config() {
   PipelineConfig config;
-  config.window.mode = WindowConfig::Mode::kByTime;
   config.window.duration = kSecond;
   return config;
 }
@@ -112,9 +111,9 @@ TEST(IdsPipelineTest, InjectionAlertsAndInfers) {
 
 TEST(IdsPipelineTest, InferenceDisabledWhenConfiguredOff) {
   const PipelineWorld world;
-  PipelineConfig config = tight_config();
-  config.infer_on_alert = false;
-  IdsPipeline pipeline(world.golden, world.pool, config);
+  // An empty id pool is the off switch.
+  IdsPipeline pipeline(world.golden, {}, tight_config());
+  EXPECT_FALSE(pipeline.inference_enabled());
   world.feed_second(pipeline, 0, {});
   const auto report =
       world.feed_second(pipeline, kSecond, {{world.pool[0], 200}});
@@ -122,22 +121,6 @@ TEST(IdsPipelineTest, InferenceDisabledWhenConfiguredOff) {
   if (report->detection.alert) {
     EXPECT_FALSE(report->inference.has_value());
   }
-}
-
-TEST(IdsPipelineTest, AlertHandlerInvoked) {
-  const PipelineWorld world;
-  IdsPipeline pipeline(world.golden, world.pool, tight_config());
-  std::uint64_t handler_calls = 0;
-  pipeline.set_alert_handler(
-      [&](const WindowReport& report) {
-        EXPECT_TRUE(report.detection.alert);
-        ++handler_calls;
-      });
-  world.feed_second(pipeline, 0, {});
-  world.feed_second(pipeline, kSecond, {{world.pool[2], 200}});
-  world.feed_second(pipeline, 2 * kSecond, {{world.pool[2], 200}});
-  EXPECT_EQ(handler_calls, pipeline.counters().alerts);
-  EXPECT_GE(handler_calls, 1u);
 }
 
 TEST(IdsPipelineTest, FinishFlushesFinalWindow) {

@@ -12,15 +12,7 @@ using util::kSecond;
 
 WindowConfig by_time(util::TimeNs duration) {
   WindowConfig config;
-  config.mode = WindowConfig::Mode::kByTime;
   config.duration = duration;
-  return config;
-}
-
-WindowConfig by_count(std::uint64_t frames) {
-  WindowConfig config;
-  config.mode = WindowConfig::Mode::kByCount;
-  config.frame_count = frames;
   return config;
 }
 
@@ -61,24 +53,15 @@ TEST(WindowAccumulatorTest, SilentGapsSkippedNotEmitted) {
   EXPECT_FALSE(next.has_value());
 }
 
-TEST(WindowAccumulatorTest, CountWindowEmitsExactly) {
-  WindowAccumulator acc(by_count(3));
-  const can::CanId id = can::CanId::standard(0x7FF);
-  EXPECT_FALSE(acc.add(1, id).has_value());
-  EXPECT_FALSE(acc.add(2, id).has_value());
-  const auto snap = acc.add(3, id);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->frames, 3u);
-  EXPECT_EQ(acc.frames_in_current(), 0u);  // count mode includes the closer
-}
-
 TEST(WindowAccumulatorTest, SnapshotVectorsMatchCounters) {
-  WindowAccumulator acc(by_count(4));
+  WindowAccumulator acc(by_time(kSecond));
   acc.add(1, can::CanId::standard(0x7FF));
   acc.add(2, can::CanId::standard(0x7FF));
   acc.add(3, can::CanId::standard(0x000));
-  const auto snap = acc.add(4, can::CanId::standard(0x000));
+  acc.add(4, can::CanId::standard(0x000));
+  const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->frames, 4u);
   for (int bit = 0; bit < 11; ++bit) {
     EXPECT_DOUBLE_EQ(snap->probabilities[static_cast<std::size_t>(bit)], 0.5);
     EXPECT_DOUBLE_EQ(snap->entropies[static_cast<std::size_t>(bit)], 1.0);
@@ -103,7 +86,6 @@ TEST(WindowAccumulatorTest, FlushOnEmptyReturnsNothing) {
 
 TEST(WindowAccumulatorTest, RejectsDegenerateConfig) {
   EXPECT_THROW(WindowAccumulator(by_time(0)), canids::ContractViolation);
-  EXPECT_THROW(WindowAccumulator(by_count(0)), canids::ContractViolation);
 }
 
 TEST(WindowsOfTest, SplitsStreamAndFlushesTail) {
@@ -127,9 +109,10 @@ TEST(WindowsOfTest, EmptyInput) {
 }
 
 TEST(WindowAccumulatorTest, PairTrackingOnByDefault) {
-  WindowAccumulator acc(by_count(2));
+  WindowAccumulator acc(by_time(kSecond));
   acc.add(1, can::CanId::standard(0x7FF));
-  const auto snap = acc.add(2, can::CanId::standard(0x7FF));
+  acc.add(2, can::CanId::standard(0x7FF));
+  const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
   ASSERT_TRUE(snap->has_pairs());
   ASSERT_EQ(snap->pair_probabilities.size(),
@@ -138,11 +121,12 @@ TEST(WindowAccumulatorTest, PairTrackingOnByDefault) {
 }
 
 TEST(WindowAccumulatorTest, PairTrackingCanBeDisabled) {
-  WindowConfig config = by_count(2);
+  WindowConfig config = by_time(kSecond);
   config.track_pairs = false;
   WindowAccumulator acc(config);
   acc.add(1, can::CanId::standard(0x7FF));
-  const auto snap = acc.add(2, can::CanId::standard(0x7FF));
+  acc.add(2, can::CanId::standard(0x7FF));
+  const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
   EXPECT_FALSE(snap->has_pairs());
 }

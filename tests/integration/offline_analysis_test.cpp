@@ -21,7 +21,6 @@ TEST(OfflineAnalysisTest, CandumpRoundTripDetection) {
 
   // --- Train from clean captures -------------------------------------------
   ids::WindowConfig window;
-  window.mode = ids::WindowConfig::Mode::kByTime;
   window.duration = kSecond;
   ids::TemplateBuilder builder;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {

@@ -329,11 +329,11 @@ TEST(ModelStoreTest, FileRoundTripAndLegacyTemplateFallback) {
       std::make_shared<const baselines::IntervalIds>(trained_interval());
   const std::filesystem::path bundle_path = dir / "bundle.canids";
   save_models_file(bundle_path, models);
-  const StoredModels from_bundle = load_models_file(bundle_path);
-  ASSERT_NE(from_bundle.golden, nullptr);
-  EXPECT_EQ(*from_bundle.golden, *models.golden);
-  ASSERT_NE(from_bundle.interval, nullptr);
-  EXPECT_EQ(from_bundle.muter, nullptr);
+  const StoredModels loaded_bundle = load_models_file(bundle_path);
+  ASSERT_NE(loaded_bundle.golden, nullptr);
+  EXPECT_EQ(*loaded_bundle.golden, *models.golden);
+  ASSERT_NE(loaded_bundle.interval, nullptr);
+  EXPECT_EQ(loaded_bundle.muter, nullptr);
 
   // A legacy bare golden-template text file loads as golden-only models.
   const std::filesystem::path legacy_path = dir / "legacy.tpl";

@@ -302,7 +302,6 @@ struct ServeWorld {
     analysis::DetectorOptions opts;
     opts.golden = golden;
     opts.id_pool = pool;  // alerts carry ranked candidates in their JSON
-    opts.pipeline.window.mode = ids::WindowConfig::Mode::kByTime;
     opts.pipeline.window.duration = kSecond;
     return opts;
   }

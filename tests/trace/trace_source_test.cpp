@@ -200,6 +200,38 @@ TEST(TraceSourceTest, MemorySourceFillMatchesNext) {
   }
 }
 
+TEST(TraceSourceTest, MemorySourceFillIdsMatchesFill) {
+  const SyntheticVehicle vehicle;
+  auto all =
+      vehicle.stream_trace(DrivingBehavior::kCity, util::kSecond, 2)->drain();
+  ASSERT_GT(all.size(), 100u);
+  all.push_back(can::TimedFrame{
+      all.back().timestamp + 1,
+      can::Frame::data_frame(can::CanId::extended(0x18DB33F1), {}),
+      can::TimedFrame::kUnknownSource});
+
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}, all.size() + 1}) {
+    MemorySource by_frames(all);
+    std::vector<can::TimedFrame> frames;
+    while (by_frames.fill(frames, chunk) > 0) {
+    }
+    MemorySource by_ids(all);
+    std::vector<can::TimedId> ids;
+    std::size_t calls = 0;
+    while (const std::size_t got = by_ids.fill_ids(ids, chunk)) {
+      EXPECT_LE(got, chunk);
+      ++calls;
+    }
+    EXPECT_EQ(calls, (all.size() + chunk - 1) / chunk) << "chunk " << chunk;
+    ASSERT_EQ(ids.size(), frames.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(ids[i].timestamp, frames[i].timestamp) << "chunk " << chunk;
+      EXPECT_EQ(ids[i].id, frames[i].frame.id()) << "chunk " << chunk;
+    }
+  }
+}
+
 TEST(TraceSourceTest, FillKeepsFramesDecodedBeforeAParseError) {
   // Two good lines, a malformed one, two more good lines: the first fill
   // must surface both pre-error frames with the ParseError, and the

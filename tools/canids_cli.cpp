@@ -35,7 +35,7 @@
 // detect/fleet in place of the positional models argument. Captures may be
 // candump logs, Vehicle-Spy-style CSV, or the compact binary trace format
 // (all auto-detected; `canids convert` moves between them losslessly). `detect` and
-// `fleet` run any backend registered in the DetectorRegistry (default: the
+// `fleet` run any backend in the detector table (default: the
 // paper's bit-entropy detector) through one code path; both exit 0 when
 // the traffic is clean and 2 when intrusions were flagged, so they can
 // gate scripts. Baseline detectors without a bundled model self-calibrate
@@ -379,10 +379,10 @@ int cmd_models_inspect(const std::string& path) {
 int cmd_detectors() {
   util::Table table({"name", "paper source", "monitoring state",
                      "malicious-ID inference"});
-  for (const analysis::DetectorInfo& info :
-       analysis::DetectorRegistry::instance().list()) {
-    table.add_row({info.name, info.paper, info.state_growth,
-                   info.supports_inference ? "yes" : "no"});
+  for (const analysis::DetectorEntry& entry : analysis::detector_table()) {
+    table.add_row({std::string(entry.name), std::string(entry.paper),
+                   std::string(entry.state_growth),
+                   entry.supports_inference ? "yes" : "no"});
   }
   table.print(std::cout);
   std::printf(
@@ -1364,7 +1364,7 @@ int cmd_campaign(std::vector<std::string> args) {
               static_cast<unsigned long long>(stats.training_passes));
 
   if (save_models) {
-    model::save_models_file(*save_models, runner.models().stored());
+    model::save_models_file(*save_models, runner.models());
     std::printf("models -> %s\n", save_models->c_str());
   }
   if (partial) {

@@ -5,17 +5,17 @@
 //     trace format (fixed 22-byte records decoded without text parsing),
 //     the latter both as full frames (fill) and as the (timestamp, id)
 //     blocks the fleet engine's batch replay reads (fill_ids);
-//   * kernel — the scalar lane counters vs. the runtime-dispatched
-//     SSE2/AVX2 batch kernels behind BitCounters::add_batch.
+//   * counting — the same ID block through BitCounters::add_batch, whose
+//     lane loop runs as an AVX2 compilation on CPUs that have it.
 //
 //   ./bench_ingest
 //
 // Emits BENCH_ingest.json for the CI bench-trajectory artifact. The SHAPE
 // verdict requires the binary round trip to be lossless, the id-block read
-// to yield exactly the fill path's timestamps and IDs, every kernel to
-// produce identical counters, and binary ingest to beat text by >= 5x
-// (the acceptance bar: decoding fixed records must dominate re-parsing
-// hex text).
+// to yield exactly the fill path's timestamps and IDs, the add_batch
+// counters to equal per-id add() counters, and binary ingest to beat text
+// by >= 5x (the acceptance bar: decoding fixed records must dominate
+// re-parsing hex text).
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -29,7 +29,6 @@
 #include "trace/synthetic_vehicle.h"
 #include "trace/trace_io.h"
 #include "util/bench_json.h"
-#include "util/simd.h"
 #include "util/table.h"
 
 using namespace canids;
@@ -79,7 +78,8 @@ std::uint64_t drain_id_count(trace::TraceSource& source,
   return frames;
 }
 
-/// Sum of all per-bit counters — the value every kernel must agree on.
+/// Sum of all per-bit counters — the value add_batch and add() must agree
+/// on.
 std::uint64_t counters_checksum(const ids::BitCounters& counters) {
   std::uint64_t sum = counters.total();
   for (int bit = 0; bit < can::kStdIdBits; ++bit) {
@@ -93,7 +93,7 @@ std::uint64_t counters_checksum(const ids::BitCounters& counters) {
 int main() {
   util::print_banner(std::cout,
                      "Ingest hot path — binary vs. text trace decode and "
-                     "SIMD vs. scalar bit counting");
+                     "batched bit counting");
 
   // One recorded drive, rendered once into both formats.
   const trace::SyntheticVehicle vehicle;
@@ -158,42 +158,25 @@ int main() {
     }
   }
 
-  // Kernel axis: the same ID block through BitCounters::add_batch at every
-  // SIMD level this build + CPU can run. Checksums must agree exactly.
+  // Counting: the same ID block through BitCounters::add_batch, checked
+  // against per-id add().
   std::vector<std::uint32_t> raw_ids;
   raw_ids.reserve(capture.size());
   for (const trace::LogRecord& record : capture) {
     raw_ids.push_back(record.frame.id().raw());
   }
-  const util::SimdLevel detected = util::detected_simd_level();
-  double kernel_fps[3] = {0.0, 0.0, 0.0};
-  std::uint64_t kernel_checksum[3] = {0, 0, 0};
-  for (const util::SimdLevel level :
-       {util::SimdLevel::kScalar, util::SimdLevel::kSse2,
-        util::SimdLevel::kAvx2}) {
-    const auto index = static_cast<std::size_t>(level);
-    if (level > detected) continue;
-    util::set_simd_level(level);
-    ids::BitCounters counters;
-    kernel_fps[index] = measure_fps([&] {
-      counters.reset();
-      counters.add_batch(raw_ids.data(), raw_ids.size());
-      return raw_ids.size();
-    });
+  ids::BitCounters counters;
+  const double add_batch_fps = measure_fps([&] {
     counters.reset();
     counters.add_batch(raw_ids.data(), raw_ids.size());
-    kernel_checksum[index] = counters_checksum(counters);
-  }
-  util::set_simd_level(detected);
-  bool kernels_match = true;
-  double best_kernel_fps = kernel_fps[0];
-  for (std::size_t index = 1; index < 3; ++index) {
-    if (kernel_fps[index] == 0.0) continue;
-    kernels_match = kernels_match && kernel_checksum[index] == kernel_checksum[0];
-    if (kernel_fps[index] > best_kernel_fps) best_kernel_fps = kernel_fps[index];
-  }
-  const double best_vs_scalar =
-      kernel_fps[0] > 0.0 ? best_kernel_fps / kernel_fps[0] : 0.0;
+    return raw_ids.size();
+  });
+  counters.reset();
+  counters.add_batch(raw_ids.data(), raw_ids.size());
+  ids::BitCounters per_id;
+  for (const std::uint32_t id : raw_ids) per_id.add(id);
+  const bool counts_match =
+      counters_checksum(counters) == counters_checksum(per_id);
 
   util::Table table({"path", "frames/s", "vs baseline"});
   char value[64];
@@ -207,22 +190,8 @@ int main() {
   std::snprintf(ratio, sizeof ratio, "%.2fx",
                 text_fps > 0.0 ? binary_ids_fps / text_fps : 0.0);
   table.add_row({"binary ingest, id blocks", value, ratio});
-  for (const util::SimdLevel level :
-       {util::SimdLevel::kScalar, util::SimdLevel::kSse2,
-        util::SimdLevel::kAvx2}) {
-    const auto index = static_cast<std::size_t>(level);
-    std::string label =
-        std::string("add_batch ") + std::string(util::simd_level_name(level));
-    if (kernel_fps[index] == 0.0) {
-      table.add_row({label, "--", "unavailable"});
-      continue;
-    }
-    std::snprintf(value, sizeof value, "%.0f", kernel_fps[index]);
-    std::snprintf(ratio, sizeof ratio, "%.2fx",
-                  kernel_fps[0] > 0.0 ? kernel_fps[index] / kernel_fps[0]
-                                      : 0.0);
-    table.add_row({label, value, ratio});
-  }
+  std::snprintf(value, sizeof value, "%.0f", add_batch_fps);
+  table.add_row({"add_batch bit counting", value, "--"});
   table.print(std::cout);
   std::printf("trace: %zu frames, %zu text bytes, %zu binary bytes\n",
               capture.size(), text.size(), binary.size());
@@ -234,19 +203,17 @@ int main() {
        {"binary_fps", binary_fps},
        {"binary_vs_text", binary_vs_text},
        {"binary_ids_fps", binary_ids_fps},
-       {"kernel_scalar_fps", kernel_fps[0]},
-       {"kernel_sse2_fps", kernel_fps[1]},
-       {"kernel_avx2_fps", kernel_fps[2]},
-       {"kernel_best_vs_scalar", best_vs_scalar},
-       {"simd_level", static_cast<double>(static_cast<int>(detected))}});
+       {"add_batch_fps", add_batch_fps}});
 
   const bool ok =
-      round_trip_ok && ids_match && kernels_match && binary_vs_text >= 5.0;
+      round_trip_ok && ids_match && counts_match && binary_vs_text >= 5.0;
   if (!round_trip_ok) std::printf("FAIL: binary round trip not lossless\n");
   if (!ids_match) {
     std::printf("FAIL: fill_ids disagrees with fill on timestamps or IDs\n");
   }
-  if (!kernels_match) std::printf("FAIL: kernel checksums disagree\n");
+  if (!counts_match) {
+    std::printf("FAIL: add_batch checksum differs from per-id add()\n");
+  }
   if (binary_vs_text < 5.0) {
     std::printf("FAIL: binary ingest only %.2fx text (need >= 5x)\n",
                 binary_vs_text);

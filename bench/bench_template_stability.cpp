@@ -9,7 +9,6 @@
 
 #include "metrics/experiment.h"
 #include "trace/trace_io.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/bench_json.h"
 

@@ -39,7 +39,7 @@ class BitEntropyBackend final : public DetectorBackend {
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
   /// The batched hot path: width-matching runs flow block-wise through
-  /// IdsPipeline::on_frames (SIMD-counted); results are bit-identical to
+  /// IdsPipeline::on_frames (lane-counted); results are bit-identical to
   /// the per-frame loop.
   void on_frames(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowVerdict>& out) override;

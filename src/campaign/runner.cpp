@@ -5,13 +5,11 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "analysis/registry.h"
-#include "ids/golden_template.h"
 #include "model/store.h"
 #include "trace/trace_io.h"
 
@@ -128,17 +126,6 @@ void CampaignRunner::train_once() {
     // pieces the bundle lacks (and a requested backend needs) are trained.
     master.adopt_models(
         metrics::SharedModels{model::load_models_file(spec_.model_path), {}});
-  }
-  if (!spec_.template_path.empty()) {
-    std::ifstream in(spec_.template_path);
-    if (!in) {
-      throw std::runtime_error("campaign: cannot read template " +
-                               spec_.template_path);
-    }
-    metrics::SharedModels pretrained;
-    pretrained.golden = std::make_shared<const ids::GoldenTemplate>(
-        ids::GoldenTemplate::load(in));
-    master.adopt_models(pretrained);
   }
 
   // Train only what the requested backends can actually use (the same

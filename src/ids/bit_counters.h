@@ -7,15 +7,48 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "can/frame.h"
 #include "ids/binary_entropy.h"
-#include "ids/simd_kernels.h"
 #include "util/contracts.h"
 
 namespace canids::ids {
+
+/// u64 words per lane-table row and per lane-accumulator block: one 256-bit
+/// vector, so the lane loop never needs a per-row tail. Padding words hold
+/// zero and contribute nothing.
+inline constexpr int kLaneRowWords = 4;
+
+/// Accumulate `count` lane-table rows into `lanes` (kLaneRowWords words):
+/// lanes[w] += table[(ids[i] & mask) * kLaneRowWords + w] for every id.
+/// The caller guarantees no 16-bit lane can saturate within the batch.
+/// Integer-exact on every target; x86-64 runs an AVX2 compilation of the
+/// same loop when the CPU has it.
+void lane_add(std::uint64_t* lanes, const std::uint64_t* table,
+              std::uint32_t mask, const std::uint32_t* ids,
+              std::size_t count) noexcept;
+
+/// Widen `words` lane words (4 x 16-bit lanes each) into the per-bit
+/// counters: ones[4 * w + l] += lane l of lanes[w]. `ones` must have
+/// 4 * words slots — BitCountersT pads its counter array for this.
+void lane_spill(const std::uint64_t* lanes, std::uint64_t* ones,
+                int words) noexcept;
+
+namespace detail {
+/// The compilations lane_add picks between, declared so one host can test
+/// them against each other. Call lane_add_avx2 only on a CPU with AVX2.
+void lane_add_default(std::uint64_t* lanes, const std::uint64_t* table,
+                      std::uint32_t mask, const std::uint32_t* ids,
+                      std::size_t count) noexcept;
+#if defined(__x86_64__)
+void lane_add_avx2(std::uint64_t* lanes, const std::uint64_t* table,
+                   std::uint32_t mask, const std::uint32_t* ids,
+                   std::size_t count) noexcept;
+#endif
+}  // namespace detail
 
 /// Per-bit '1' counters over a stream of identifiers, templated on the ID
 /// width (11 for CAN 2.0A, 29 for CAN 2.0B).
@@ -61,17 +94,15 @@ class BitCountersT {
 
   /// Count a block of identifiers. Bit-identical to calling add() per id —
   /// lane-spill timing is unobservable (ones() folds pending lanes) — but
-  /// the table-assisted path pushes the whole block through the dispatched
-  /// SIMD kernels (util::active_simd_level), chunked so no 16-bit lane can
-  /// saturate mid-batch.
+  /// the table-assisted path pushes the whole block through lane_add,
+  /// chunked so no 16-bit lane can saturate mid-batch.
   void add_batch(const std::uint32_t* ids, std::size_t count) noexcept {
     if constexpr (kTableAssisted) {
-      const simd::LaneAddFn add_fn = simd::lane_add_kernel();
       const std::uint64_t* table = lane_table().front().data();
       total_ += count;
       while (count > 0) {
         const auto chunk = std::min<std::size_t>(count, kLaneLimit - pending_);
-        add_fn(lanes_.data(), table, kIdMask, ids, chunk);
+        lane_add(lanes_.data(), table, kIdMask, ids, chunk);
         pending_ += static_cast<std::uint32_t>(chunk);
         ids += chunk;
         count -= chunk;
@@ -166,11 +197,11 @@ class BitCountersT {
   static constexpr int kLanesPerWord = 4;  // 16-bit lanes in a u64
   static constexpr int kWords = (Width + kLanesPerWord - 1) / kLanesPerWord;
   static constexpr std::uint32_t kLaneLimit = 0xFFFF;  // lane saturation
-  static_assert(!kTableAssisted || kWords <= simd::kLaneRowWords);
-  /// Rows are padded to simd::kLaneRowWords (one 256-bit vector) so the
-  /// batched kernels never need a per-row tail; padding words stay zero.
+  static_assert(!kTableAssisted || kWords <= kLaneRowWords);
+  /// Rows are padded to kLaneRowWords so lane_add never needs a per-row
+  /// tail; padding words stay zero.
   using LaneRow =
-      std::array<std::uint64_t, static_cast<std::size_t>(simd::kLaneRowWords)>;
+      std::array<std::uint64_t, static_cast<std::size_t>(kLaneRowWords)>;
   using LaneTable =
       std::array<LaneRow, kTableAssisted ? (std::size_t{1} << Width) : 0>;
 
@@ -197,16 +228,16 @@ class BitCountersT {
            0xFFFF;
   }
 
-  /// Fold the lane accumulators into the 64-bit counters (dispatched SIMD
-  /// kernel; ones_ is padded so it may store whole lane words).
+  /// Fold the lane accumulators into the 64-bit counters (ones_ is padded
+  /// so lane_spill may store whole lane words).
   void spill() noexcept {
-    simd::lane_spill_kernel()(lanes_.data(), ones_.data(), kWords);
+    lane_spill(lanes_.data(), ones_.data(), kWords);
     lanes_.fill(0);
     pending_ = 0;
   }
 
   /// Slots in ones_: table-assisted counters pad to whole lane words
-  /// (kLanesPerWord * kWords) so the spill kernel can write four 64-bit
+  /// (kLanesPerWord * kWords) so lane_spill can write four 64-bit
   /// lanes per word without a tail; padding slots stay zero forever.
   static constexpr std::size_t kOnesSlots =
       kTableAssisted ? static_cast<std::size_t>(kLanesPerWord * kWords)
@@ -215,9 +246,9 @@ class BitCountersT {
   std::array<std::uint64_t, kOnesSlots> ones_{};
   std::uint64_t total_ = 0;
   /// Lane accumulators; empty for wide counters, which count directly.
-  /// Padded like LaneRow so the add kernels work in whole vectors.
+  /// Padded like LaneRow so lane_add works in whole rows.
   std::array<std::uint64_t,
-             kTableAssisted ? static_cast<std::size_t>(simd::kLaneRowWords) : 0>
+             kTableAssisted ? static_cast<std::size_t>(kLaneRowWords) : 0>
       lanes_{};
   std::uint32_t pending_ = 0;
 };
@@ -268,8 +299,8 @@ class PairCountersT {
   void add_marginal(std::uint32_t raw_id) noexcept { marginals_.add(raw_id); }
 
   /// Batch-count a block of identifiers; bit-identical to per-frame calls.
-  /// Marginals go through the dispatched SIMD kernels; the pair updates
-  /// (O(popcount^2), data-dependent scatter) stay scalar.
+  /// Marginals go through lane_add; the pair updates (O(popcount^2),
+  /// data-dependent scatter) stay scalar.
   void add_batch(const std::uint32_t* ids, std::size_t count,
                  bool with_pairs) noexcept {
     marginals_.add_batch(ids, count);

@@ -53,18 +53,7 @@ DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
     dev.delta_entropy = dev.observed_entropy - dev.template_entropy;
     dev.deviation = std::abs(dev.delta_entropy);
     dev.threshold = thresholds_[b];
-    const bool beyond = dev.deviation > dev.threshold;
-    switch (config_.tails) {
-      case AlertTails::kBoth:
-        dev.alerted = beyond;
-        break;
-      case AlertTails::kBelow:
-        dev.alerted = beyond && dev.delta_entropy < 0.0;
-        break;
-      case AlertTails::kAbove:
-        dev.alerted = beyond && dev.delta_entropy > 0.0;
-        break;
-    }
+    dev.alerted = dev.deviation > dev.threshold;
     dev.delta_probability =
         window.probabilities[b] - golden.mean_probability[b];
     if (dev.alerted) {

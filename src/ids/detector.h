@@ -10,19 +10,6 @@
 
 namespace canids::ids {
 
-/// Which side(s) of the golden template raise the alert. Injection-style
-/// attacks mostly CONCENTRATE the ID mix (entropy deviates toward the
-/// attacker's bit pattern), while suspend/masquerade REMOVE identifiers —
-/// the deviation runs through the template's other tail. kBoth (the
-/// paper-faithful |observed - mean| rule) catches either direction;
-/// kBelow/kAbove are one-sided ablations for measuring how much each tail
-/// contributes per scenario class.
-enum class AlertTails : std::uint8_t {
-  kBoth,   ///< |deviation| > Th_i alerts (default; two-sided)
-  kBelow,  ///< only windows whose bit entropy DROPPED below the template
-  kAbove,  ///< only windows whose bit entropy ROSE above the template
-};
-
 struct DetectorConfig {
   /// Threshold multiplier alpha (paper: empirically from [3,10], chosen 5).
   double alpha = 5.0;
@@ -31,8 +18,6 @@ struct DetectorConfig {
   double min_threshold = 0.01;
   /// Windows with fewer frames than this are not judged (too noisy).
   std::uint64_t min_window_frames = 20;
-  /// Alert direction; kBoth is required to catch suspend/masquerade.
-  AlertTails tails = AlertTails::kBoth;
 };
 
 /// Per-bit evaluation detail.

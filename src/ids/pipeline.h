@@ -82,8 +82,8 @@ class IdsPipeline {
   /// Batch path: feed `count` frames, appending the report of every window
   /// they close to `out`, in close order. Bit-identical to on_frame per
   /// frame (the detector is stateless, so deferred judging changes
-  /// nothing); windowing and counting run block-wise through the SIMD
-  /// kernels.
+  /// nothing); windowing and counting run block-wise through
+  /// BitCounters::add_batch.
   void on_frames(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowReport>& out);
 

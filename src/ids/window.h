@@ -60,8 +60,7 @@ class WindowAccumulator {
   /// Batch path: feed `count` timestamped identifiers, appending the
   /// snapshot of every window they close to `out`. Bit-identical to
   /// calling add() per frame — the batch is split at window boundaries and
-  /// each in-window run is block-counted through the SIMD kernels
-  /// (PairCounters::add_batch).
+  /// each in-window run is block-counted by PairCounters::add_batch.
   void add_batch(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowSnapshot>& out);
 

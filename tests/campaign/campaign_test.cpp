@@ -473,9 +473,10 @@ TEST(CampaignRunnerTest, ColdStartsFromSavedTemplate) {
     master.train().save(out);
   }
 
-  // ...then a cold-started campaign must reproduce the in-process one.
+  // ...then a campaign cold-started from that legacy template file (read
+  // through model_path like a bundle) must reproduce the in-process one.
   CampaignSpec cold = spec;
-  cold.template_path = path.string();
+  cold.model_path = path.string();
   CampaignRunner warm_runner(spec);
   CampaignRunner cold_runner(cold);
   const CampaignReport warm = warm_runner.run();
@@ -488,7 +489,7 @@ TEST(CampaignRunnerTest, ColdStartsFromSavedTemplate) {
   std::filesystem::remove(path);
 
   CampaignSpec missing = spec;
-  missing.template_path = "/nonexistent/template.tpl";
+  missing.model_path = "/nonexistent/template.tpl";
   CampaignRunner missing_runner(missing);
   EXPECT_THROW((void)missing_runner.run(), std::runtime_error);
 }
@@ -524,13 +525,6 @@ TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
   EXPECT_EQ(cold_runner.stats().training_passes, 0u);
   EXPECT_EQ(report_bytes(cold_report), report_bytes(warm));
   std::filesystem::remove(path);
-}
-
-TEST(CampaignSpecTest, ModelAndTemplatePathsAreMutuallyExclusive) {
-  CampaignSpec spec = quick_spec();
-  spec.model_path = "bundle.canids";
-  spec.template_path = "golden.tpl";
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 // ---- capture-replay campaigns ----------------------------------------------

@@ -82,7 +82,7 @@ TEST(BitCountersTest, ExtendedCounterWorks) {
 
 TEST(BitCountersTest, StateBytesIsConstantAndSmall) {
   // The §V.E claim: per-bus state independent of traffic. 11 counters
-  // padded to whole lane words for the SIMD spill (12 * 8 bytes) + total
+  // padded to whole lane words for the lane spill (12 * 8 bytes) + total
   // (8) plus the hot path's lane accumulator padded to one 256-bit vector
   // (32) and pending count (4).
   EXPECT_EQ(BitCounters::state_bytes(), 96u + 8u + 32u + 4u);

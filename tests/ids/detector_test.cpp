@@ -171,18 +171,6 @@ TEST(DetectorTest, TwoSidedRuleCatchesBothTails) {
   EXPECT_TRUE(both.evaluate(risen).alert);
   EXPECT_LT(both.evaluate(dropped).bits[0].delta_entropy, 0.0);
   EXPECT_GT(both.evaluate(risen).bits[0].delta_entropy, 0.0);
-
-  DetectorConfig below_config;
-  below_config.tails = AlertTails::kBelow;
-  const Detector below(tpl, below_config);
-  EXPECT_TRUE(below.evaluate(dropped).alert);
-  EXPECT_FALSE(below.evaluate(risen).alert);
-
-  DetectorConfig above_config;
-  above_config.tails = AlertTails::kAbove;
-  const Detector above(tpl, above_config);
-  EXPECT_FALSE(above.evaluate(dropped).alert);
-  EXPECT_TRUE(above.evaluate(risen).alert);
 }
 
 }  // namespace

@@ -32,8 +32,9 @@
 // with zero training; a bare legacy golden-template file still loads
 // anywhere a bundle is accepted. `campaign --save-models PATH` persists the
 // models a campaign trained; `--model`/`--template` are both accepted on
-// detect/fleet in place of the positional models argument. Captures may be
-// candump logs, Vehicle-Spy-style CSV, or the compact binary trace format
+// campaign, and on detect/fleet in place of the positional models
+// argument. Captures may be candump logs, Vehicle-Spy-style CSV, or the
+// compact binary trace format
 // (all auto-detected; `canids convert` moves between them losslessly). `detect` and
 // `fleet` run any backend in the detector table (default: the
 // paper's bit-entropy detector) through one code path; both exit 0 when
@@ -1286,12 +1287,7 @@ int cmd_campaign(std::vector<std::string> args) {
       throw UsageError{e.what()};
     }
   }
-  if (const auto tpl = arg_string(args, "--template")) {
-    spec.template_path = *tpl;
-  }
-  if (const auto bundle = arg_string(args, "--model")) {
-    spec.model_path = *bundle;
-  }
+  if (const auto models = arg_models(args)) spec.model_path = *models;
   if (const auto captures = arg_string(args, "--captures")) {
     spec.capture_dir = *captures;
   }
@@ -1309,8 +1305,7 @@ int cmd_campaign(std::vector<std::string> args) {
 
   campaign::CampaignRunner runner(std::move(spec));
   if (runner.spec().capture_mode()) {
-    if (runner.spec().model_path.empty() &&
-        runner.spec().template_path.empty()) {
+    if (runner.spec().model_path.empty()) {
       // Scoring recorded traffic with models trained on the built-in
       // synthetic vehicle is only meaningful when the captures ARE
       // synthetic-vehicle recordings — say so instead of emitting

@@ -1,8 +1,8 @@
 // Strong adversary, scenario 1 (§III.B.1): flood the bus with changeable
 // high-priority identifiers. Using many different dominant IDs dodges both
-// the transceiver's dominant-timeout (frames are well-formed) and naive
-// per-ID rate filters, which is exactly why the paper's bit-entropy view is
-// needed to catch it.
+// the dominant-timeout of real transceivers (the frames are well-formed, so
+// stuffing keeps every dominant run short) and naive per-ID rate filters,
+// which is exactly why the paper's bit-entropy view is needed to catch it.
 #include "attacks/scenario.h"
 
 #include "util/contracts.h"
@@ -15,8 +15,8 @@ BuiltAttack make_flooding_attack(const AttackConfig& config, util::Rng rng,
   CANIDS_EXPECTS(id_floor <= id_ceiling);
   CANIDS_EXPECTS(id_ceiling <= can::kMaxStdId);
   // ID 0x000 is deliberately excluded by the default floor: an all-dominant
-  // identifier repeated back-to-back is the zero-flood the transceiver
-  // guard already kills (§III.B.1).
+  // identifier repeated back-to-back is the zero-flood that real
+  // transceivers' dominant-timeout already stops (§III.B.1).
   auto selector_rng = rng.fork();
   auto selector = [selector_rng, id_floor,
                    id_ceiling](std::uint32_t /*seq*/) mutable {

@@ -229,13 +229,11 @@ BitString destuff(const BitString& stuffed,
   return out;
 }
 
-WireTiming wire_timing(const Frame& frame) noexcept {
+std::size_t wire_bit_length(const Frame& frame) noexcept {
   const StuffRegion region = encode_stuff_region(frame);
   // Walk the region run by run with stuff()'s rule: the fifth identical bit
-  // is followed by a complementary stuff bit, which starts a run of its
-  // own. The ACK slot is a lone dominant bit between recessive delimiters.
+  // is followed by a complementary stuff bit, which starts a run of its own.
   int stuff_bits = 0;
-  int longest_dominant = 1;
   bool run_bit = kRecessive;
   int run = 0;
   int pos = 0;
@@ -249,25 +247,15 @@ WireTiming wire_timing(const Frame& frame) noexcept {
     const int to_stuff = 5 - run;
     if (same >= to_stuff) {
       pos += to_stuff;
-      if (run_bit == kDominant) {
-        longest_dominant = std::max(longest_dominant, 5);
-      }
       ++stuff_bits;
       run_bit = !run_bit;
       run = 1;
     } else {
       pos += same;
       run += same;
-      if (run_bit == kDominant) {
-        longest_dominant = std::max(longest_dominant, run);
-      }
     }
   }
-  return WireTiming{region.size + stuff_bits + kTailBits, longest_dominant};
-}
-
-std::size_t wire_bit_length(const Frame& frame) {
-  return static_cast<std::size_t>(wire_timing(frame).bits);
+  return static_cast<std::size_t>(region.size + stuff_bits + kTailBits);
 }
 
 std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept {
@@ -286,7 +274,8 @@ util::TimeNs bits_duration(std::int64_t bits, std::uint32_t bitrate_bps) {
 }
 
 util::TimeNs transmit_duration(const Frame& frame, std::uint32_t bitrate_bps) {
-  return bits_duration(wire_timing(frame).bits, bitrate_bps);
+  return bits_duration(static_cast<std::int64_t>(wire_bit_length(frame)),
+                       bitrate_bps);
 }
 
 }  // namespace canids::can

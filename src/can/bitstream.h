@@ -2,7 +2,7 @@
 // including CRC computation and bit stuffing.
 //
 // One encoder packs a frame's stuff region (SOF..CRC) into two 64-bit
-// words. The bus simulator times frames from it with wire_timing(), one
+// words. The bus simulator times frames from it with wire_bit_length(), one
 // allocation-free pass over packed runs; serialize() expands the same
 // encoding into BitStrings and stuffs them bit by bit, the reference view
 // for FIG1 and the tests.
@@ -89,19 +89,10 @@ struct SerializedFrame {
 [[nodiscard]] BitString destuff(const BitString& stuffed,
                                 std::size_t stuffable_bits_expected);
 
-/// What the bus needs to time one frame, computed from the packed encoding
-/// without building the bit sequence.
-struct WireTiming {
-  int bits = 0;                  ///< on-wire bits SOF..EOF, stuff bits included
-  int longest_dominant_run = 0;  ///< longest run of dominant on-wire bits
-};
-
-/// Wire length and longest dominant run of `frame`; equal to
-/// serialize(frame).stuffed.size() and a scan of that sequence.
-[[nodiscard]] WireTiming wire_timing(const Frame& frame) noexcept;
-
-/// Number of on-wire bits of the frame including stuff bits (SOF..EOF).
-[[nodiscard]] std::size_t wire_bit_length(const Frame& frame);
+/// Number of on-wire bits of the frame including stuff bits (SOF..EOF),
+/// computed in one allocation-free pass over the packed encoding; equal to
+/// serialize(frame).stuffed.size().
+[[nodiscard]] std::size_t wire_bit_length(const Frame& frame) noexcept;
 
 /// Worst-case (maximum) wire length for a frame with `dlc` data bytes in the
 /// given format; useful for bandwidth bounds.

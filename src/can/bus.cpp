@@ -15,7 +15,6 @@ BusSimulator::BusSimulator(BusConfig config) : config_(config) {
 
 int BusSimulator::add_node(std::unique_ptr<Node> node) {
   CANIDS_EXPECTS(node != nullptr);
-  node->guard() = DominantTimeoutGuard(config_.transceiver);
   nodes_.push_back(std::move(node));
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -96,8 +95,6 @@ void BusSimulator::run_until(util::TimeNs end) {
 
     arbitrate(heads_, arbitration_);
     const ArbitrationResult& result = arbitration_;
-    ++stats_.arbitration_rounds;
-    if (contenders.size() > 1) ++stats_.contested_rounds;
 
     const int winner_index = contenders[result.winner];
     Node& winner = node(winner_index);
@@ -113,51 +110,12 @@ void BusSimulator::run_until(util::TimeNs end) {
     }
 
     const Frame frame = winner.head();
-
-    const WireTiming timing = wire_timing(frame);
-    const util::TimeNs duration =
-        bits_duration(timing.bits, config_.bitrate_bps);
-
-    // --- Fault injection: an induced bit error destroys the frame --------
-    const TimedFrame attempt{now_ + duration, frame, winner_index};
-    if (fault_hook_ && fault_hook_(attempt)) {
-      ++stats_.error_frames;
-      winner.stats().transmit_errors += 1;
-      winner.errors().on_transmit_error();
-      if (winner.errors().bus_off()) {
-        winner.set_disabled(true);
-        ++stats_.bus_off_events;
-      }
-      // The slot is consumed by the aborted frame plus the error frame
-      // (flag + delimiter, ~20 bits); the frame stays queued for retry.
-      const util::TimeNs error_slot = duration / 2 + 20 * bit_time_;
-      stats_.busy_time += error_slot;
-      const util::TimeNs retry_at =
-          now_ + error_slot +
-          static_cast<std::int64_t>(config_.retry_delay_bits) * bit_time_;
-      winner.set_retry_not_before(retry_at);
-      for (std::size_t c = 0; c < contenders.size(); ++c) {
-        if (contenders[c] == winner_index) continue;
-        node(contenders[c]).set_retry_not_before(retry_at);
-      }
-      now_ += error_slot +
-              static_cast<std::int64_t>(config_.interframe_bits) * bit_time_;
-      continue;
-    }
-
+    const util::TimeNs duration = transmit_duration(frame, config_.bitrate_bps);
     winner.pop_head();
     const util::TimeNs t_end = now_ + duration;
     stats_.busy_time += duration;
     ++stats_.frames_transmitted;
     winner.stats().transmitted += 1;
-    winner.errors().on_transmit_success();
-
-    // Well-formed frames bound dominant runs via stuffing; still report the
-    // span so the guard semantics hold uniformly.
-    if (winner.guard().on_dominant_span(timing.longest_dominant_run *
-                                        bit_time_)) {
-      winner.set_disabled(true);
-    }
 
     // Losers back off per config before re-entering contention.
     const util::TimeNs retry_at =
@@ -174,26 +132,6 @@ void BusSimulator::run_until(util::TimeNs end) {
   }
 
   stats_.observed_time += now_ - start;
-}
-
-util::TimeNs BusSimulator::hold_bus_dominant(int node_index,
-                                             util::TimeNs duration) {
-  Node& holder = node(node_index);
-  CANIDS_EXPECTS(duration >= 0);
-  if (holder.disabled()) return 0;
-
-  util::TimeNs held = duration;
-  if (config_.transceiver.enabled &&
-      duration > config_.transceiver.dominant_timeout) {
-    held = config_.transceiver.dominant_timeout;
-  }
-  if (holder.guard().on_dominant_span(duration)) {
-    holder.set_disabled(true);
-  }
-  stats_.busy_time += held;
-  stats_.observed_time += held;
-  now_ += held;
-  return held;
 }
 
 }  // namespace canids::can

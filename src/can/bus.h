@@ -3,11 +3,11 @@
 // The simulator advances a nanosecond clock. Whenever the bus is idle it
 // gathers every enabled node with a pending frame, runs bitwise arbitration
 // (arbitration.h), lets the winner transmit for exactly the frame's on-wire
-// duration (bitstream.h's wire_timing(), computed on packed words), delivers
-// the frame to every listener, and applies the interframe space before the
-// next round. Losers retry after the configured back-off, reproducing CAN's
-// priority inversion — the physical mechanism behind the paper's
-// injection-rate curve (Fig. 3).
+// length (bitstream.h's wire_bit_length(), computed on packed words),
+// delivers the frame to every listener, and applies the interframe space
+// before the next round. Losers retry after the configured back-off,
+// reproducing CAN's priority inversion — the physical mechanism behind the
+// paper's injection-rate curve (Fig. 3).
 #pragma once
 
 #include <functional>
@@ -32,17 +32,11 @@ struct BusConfig {
   /// Back-off applied to arbitration losers before re-entering contention;
   /// the paper quotes "six clocks after the end of the last message".
   int retry_delay_bits = 6;
-  /// Transceiver guard configuration applied to every node.
-  TransceiverConfig transceiver;
 };
 
 struct BusStats {
   std::uint64_t frames_transmitted = 0;
-  std::uint64_t arbitration_rounds = 0;
-  std::uint64_t contested_rounds = 0;  ///< rounds with >= 2 contenders
-  std::uint64_t collisions = 0;        ///< identical-arbitration-field ties
-  std::uint64_t error_frames = 0;      ///< transmissions destroyed by faults
-  std::uint64_t bus_off_events = 0;    ///< nodes that reached bus-off
+  std::uint64_t collisions = 0;  ///< identical-arbitration-field ties
   util::TimeNs busy_time = 0;
   util::TimeNs observed_time = 0;
 
@@ -83,26 +77,9 @@ class BusSimulator {
   /// Register an observer invoked for every frame that completes on the bus.
   void add_listener(std::function<void(const TimedFrame&)> listener);
 
-  /// Install a transmission-fault hook: called for every frame about to
-  /// complete; returning true destroys it (models induced bit errors, the
-  /// bus-off attack of Cho & Shin that the paper cites as [10]). The
-  /// transmitter's TEC rises by 8, the frame stays queued for retry, and
-  /// the slot is consumed by an error frame. A node whose TEC exceeds 255
-  /// goes bus-off and is disabled.
-  void set_fault_hook(
-      std::function<bool(const TimedFrame&)> hook) {
-    fault_hook_ = std::move(hook);
-  }
-
   /// Advance the simulation until the clock reaches `end`. May be called
   /// repeatedly; time is monotone across calls.
   void run_until(util::TimeNs end);
-
-  /// Model a raw dominant bus-hold by `node_index` (the zero-flood DoS the
-  /// paper's §III.B.1 discusses). The transceiver guard trips once the hold
-  /// exceeds its timeout, after which the node is disabled and the bus
-  /// released. Returns the duration the bus was actually held.
-  util::TimeNs hold_bus_dominant(int node_index, util::TimeNs duration);
 
   [[nodiscard]] const BusConfig& config() const noexcept { return config_; }
   [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
@@ -126,7 +103,6 @@ class BusSimulator {
   util::TimeNs now_ = 0;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::function<void(const TimedFrame&)>> listeners_;
-  std::function<bool(const TimedFrame&)> fault_hook_;
   BusStats stats_;
   // Per-round buffers, reused so that a round allocates nothing.
   std::vector<int> contenders_;

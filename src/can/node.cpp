@@ -133,11 +133,6 @@ Frame PeriodicSender::make_frame(std::size_t index, util::TimeNs now) {
       }
       break;
     }
-    case PayloadKind::kRandom:
-      for (std::size_t b = 0; b < spec.dlc; ++b) {
-        data[b] = static_cast<std::uint8_t>(rng_.below(256));
-      }
-      break;
   }
   return Frame::data_frame(spec.id,
                            std::span<const std::uint8_t>(data.data(), spec.dlc));

@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "can/error.h"
 #include "can/frame.h"
-#include "can/transceiver.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -29,7 +27,6 @@ struct NodeStats {
   std::uint64_t arbitration_wins = 0;     ///< rounds won
   std::uint64_t transmitted = 0;          ///< frames fully sent on the bus
   std::uint64_t collisions = 0;           ///< ties with an identical field
-  std::uint64_t transmit_errors = 0;      ///< transmissions hit by a fault
 
   /// Wins per arbitration attempt; the paper's Fig. 3 injection rate.
   [[nodiscard]] double arbitration_win_ratio() const noexcept {
@@ -84,14 +81,6 @@ class Node {
   [[nodiscard]] bool disabled() const noexcept { return disabled_; }
   void set_disabled(bool disabled) noexcept { disabled_ = disabled; }
 
-  [[nodiscard]] DominantTimeoutGuard& guard() noexcept { return guard_; }
-
-  /// ISO fault-confinement counters, maintained by the bus simulator.
-  [[nodiscard]] ErrorCounters& errors() noexcept { return errors_; }
-  [[nodiscard]] const ErrorCounters& errors() const noexcept {
-    return errors_;
-  }
-
   /// Earliest time this node may (re-)enter arbitration; updated by the bus
   /// after a lost round (the paper's "six clocks" back-off).
   [[nodiscard]] util::TimeNs retry_not_before() const noexcept {
@@ -118,8 +107,6 @@ class Node {
   std::deque<Frame> queue_;
   NodeStats stats_;
   bool disabled_ = false;
-  DominantTimeoutGuard guard_;
-  ErrorCounters errors_;
   util::TimeNs retry_not_before_ = 0;
   std::function<bool(const Frame&)> tx_filter_;
 };
@@ -129,8 +116,7 @@ class Node {
 enum class PayloadKind : std::uint8_t {
   kConstant,  ///< fixed bytes
   kCounter,   ///< rolling message counter in byte 0, constant elsewhere
-  kSensor,    ///< slowly drifting 16-bit signals
-  kRandom     ///< uniformly random bytes
+  kSensor     ///< slowly drifting 16-bit signals
 };
 
 /// One periodic message an ECU emits.

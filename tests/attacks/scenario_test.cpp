@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <set>
 
 #include "campaign/spec.h"
@@ -319,6 +321,65 @@ TEST(MasqueradeAttackTest, MatchesSilencedEcuIdAndTiming) {
   EXPECT_LT(mean_gap, 1.3 * static_cast<double>(target->period));
   // The victim's remaining messages are gone — the residual signature.
   EXPECT_EQ(others_after, 0u);
+}
+
+/// FNV-1a over the little-endian bytes of `value`'s low `bytes` bytes.
+void fnv1a(std::uint64_t& hash, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFFu;
+    hash *= 0x100000001B3ULL;
+  }
+}
+
+/// Digest of every frame a seeded 3 s city drive delivers with `kind`
+/// attached from t = 1 s: timestamp, raw id, extended and remote flags, dlc
+/// and payload, in delivery order.
+std::uint64_t drive_digest(ScenarioKind kind) {
+  const trace::SyntheticVehicle vehicle;
+  can::BusSimulator bus(vehicle.config().bus);
+  vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 21);
+  AttackConfig config = config_at(100.0);
+  config.start = kSecond;  // replay records the first second
+  auto attack = make_scenario(kind, vehicle, config, util::Rng(7));
+  attach_attack(bus, attack);
+
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  bus.add_listener([&hash](const can::TimedFrame& timed) {
+    const can::Frame& frame = timed.frame;
+    fnv1a(hash, static_cast<std::uint64_t>(timed.timestamp), 8);
+    fnv1a(hash, frame.id().raw(), 4);
+    fnv1a(hash, frame.id().is_extended() ? 1u : 0u, 1);
+    fnv1a(hash, frame.is_remote() ? 1u : 0u, 1);
+    fnv1a(hash, frame.dlc(), 1);
+    for (std::uint8_t byte : frame.payload()) fnv1a(hash, byte, 1);
+  });
+  bus.run_until(3 * kSecond);
+  return hash;
+}
+
+// The simulator's exact frame stream, pinned per scenario. A refactor of
+// arbitration, wire timing, back-off or node scheduling must leave every
+// digest as it is; only a deliberate change to the generated traffic may
+// record new ones.
+TEST(ScenarioDriveTest, FrameStreamMatchesPinnedDigest) {
+  constexpr std::array<std::uint64_t, kScenarioKindCount> kDigests = {
+      0xF0B80488BEDF2994ULL,  // flood
+      0x05D0311D287CAA69ULL,  // single
+      0x58F052FFC86153A8ULL,  // multi2
+      0x46E61F7563B36723ULL,  // multi3
+      0xD3DF936AA72AB3A3ULL,  // multi4
+      0xB6623FBB74D46F85ULL,  // weak
+      0x135A4396C4A8E803ULL,  // replay
+      0x52943BE26B4C111FULL,  // suspend
+      0xB41B4CD024A89101ULL,  // fuzzing
+      0x7040914D9AE1AFA1ULL,  // masquerade
+  };
+  for (ScenarioKind kind : kAllScenarios) {
+    const std::uint64_t digest = drive_digest(kind);
+    EXPECT_EQ(digest, kDigests[static_cast<std::size_t>(kind)])
+        << scenario_name(kind) << ": 0x" << std::hex << std::uppercase
+        << digest << "ULL";
+  }
 }
 
 TEST(ScenarioFactoryTest, DifferentSeedsPickDifferentIds) {

@@ -1,5 +1,5 @@
 // Differential tests for the packed fast paths of the CAN layer. The bus
-// simulator times frames with wire_timing() and picks winners with the
+// simulator times frames with wire_bit_length() and picks winners with the
 // integer-key arbitrate(); both must agree exactly with the bit-level
 // references: serialize()'s stuffed BitString, and a wired-AND contest run
 // bit by bit over a field built from the frame independently.
@@ -12,7 +12,6 @@
 #include "can/arbitration.h"
 #include "can/bitstream.h"
 #include "can/crc15.h"
-#include "can/transceiver.h"
 #include "util/rng.h"
 
 namespace canids::can {
@@ -64,13 +63,8 @@ TEST(PackedWireTimingTest, EqualsSerializedReferenceOnRandomFrames) {
   for (int trial = 0; trial < kFrames; ++trial) {
     const Frame frame = random_frame(rng);
     const SerializedFrame reference = serialize(frame);
-    const WireTiming timing = wire_timing(frame);
-    ASSERT_EQ(static_cast<std::size_t>(timing.bits), reference.stuffed.size())
+    ASSERT_EQ(wire_bit_length(frame), reference.stuffed.size())
         << frame.to_string();
-    ASSERT_EQ(timing.longest_dominant_run,
-              longest_dominant_scan(reference.stuffed))
-        << frame.to_string();
-    ASSERT_EQ(longest_dominant_run(frame), timing.longest_dominant_run);
 
     // The packed encoder's table CRC equals the bit-serial register over
     // the unstuffed SOF..data bits.
@@ -94,18 +88,43 @@ TEST(PackedWireTimingTest, CoversEveryFormatAndLength) {
             const Frame frame = remote ? Frame::remote_frame(id, dlc)
                                        : Frame::data_frame(id, payload);
             const SerializedFrame reference = serialize(frame);
-            const WireTiming timing = wire_timing(frame);
-            EXPECT_EQ(static_cast<std::size_t>(timing.bits),
-                      reference.stuffed.size())
-                << frame.to_string();
-            EXPECT_EQ(timing.longest_dominant_run,
-                      longest_dominant_scan(reference.stuffed))
+            EXPECT_EQ(wire_bit_length(frame), reference.stuffed.size())
                 << frame.to_string();
           }
         }
       }
     }
   }
+}
+
+// The paper's §III.B.1 stuffing bound: no well-formed frame holds the bus
+// dominant for more than 6 bits (48 us at 125 kbit/s), which is why the
+// zero-flood needs a raw bus hold, not frames.
+TEST(LongestDominantRunTest, StuffingBoundsWellFormedFrames) {
+  util::Rng rng(41);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> payload(rng.below(9));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
+    const Frame frame = Frame::data_frame(
+        CanId::standard(static_cast<std::uint32_t>(rng.below(0x800))),
+        payload);
+    EXPECT_LE(longest_dominant_scan(serialize(frame).stuffed), 6)
+        << frame.to_string();
+  }
+}
+
+TEST(LongestDominantRunTest, AllZeroFrameStillBounded) {
+  const std::vector<std::uint8_t> zeros(8, 0x00);
+  const Frame frame = Frame::data_frame(CanId::standard(0x000), zeros);
+  const int longest = longest_dominant_scan(serialize(frame).stuffed);
+  EXPECT_LE(longest, 6);
+  EXPECT_GE(longest, 5);
+}
+
+TEST(LongestDominantRunTest, RecessiveHeavyFrameHasShortRuns) {
+  const std::vector<std::uint8_t> payload(8, 0xFF);
+  const Frame frame = Frame::data_frame(CanId::standard(0x7FF), payload);
+  EXPECT_LE(longest_dominant_scan(serialize(frame).stuffed), 5);
 }
 
 /// The arbitration field built field by field from the frame, the way

@@ -10,6 +10,8 @@
 // Items processed = frames through the full ingest -> window -> detect
 // path. Shard counts above the machine's core count cannot add
 // speed-up; run on a multi-core host to see the scaling curve.
+// BM_Fleet_Lifecycle times the same engine over empty sources: its fixed
+// cost per run, without a frame.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -117,6 +119,43 @@ BENCHMARK(BM_Fleet_Throughput)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// The engine's fixed cost alone: BM_Fleet_Throughput's construct,
+/// run_fleet and destroy with the same 16 streams, each an empty source.
+/// What it takes per iteration is the part of the 1-shard gap to the
+/// sequential baseline that no frame causes.
+void BM_Fleet_Lifecycle(benchmark::State& state) {
+  analysis::DetectorOptions options;
+  options.golden = fleet_template();
+  const int shards = static_cast<int>(state.range(0));
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<engine::NamedSource> sources;
+    for (int stream = 0; stream < kVehicles * kStreamsPerVehicle; ++stream) {
+      sources.push_back(engine::NamedSource{
+          "veh-" + std::to_string(stream),
+          std::make_unique<trace::MemorySource>(
+              std::vector<can::TimedFrame>{}),
+          {}});
+    }
+    state.ResumeTiming();
+    engine::FleetConfig config;
+    config.shards = shards;
+    engine::FleetEngine fleet(analysis::make_detector("bit-entropy", options),
+                              config);
+    engine::FleetRunResult run = engine::run_fleet(fleet, std::move(sources));
+    benchmark::DoNotOptimize(fleet.totals().frames);
+    if (!run.errors.empty()) state.SkipWithError("ingest error");
+  }
+}
+BENCHMARK(BM_Fleet_Lifecycle)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// Baseline: the pre-engine model — one pipeline at a time, one thread.
 /// It judges the same blocks the engine does (FleetConfig::drain_batch

@@ -14,8 +14,10 @@
 //                                  hitting the socket to the alert JSON
 //                                  line arriving on a SUBSCRIBE connection
 //
-// The SHAPE gate requires binary socket ingest to beat text socket ingest
-// by >= 3x — the point of the binary wire mode.
+// The SHAPE gate requires binary socket ingest to reach >= 0.7x direct
+// push, the in-process ceiling, and to beat text socket ingest: the point
+// of the binary wire mode is that a socket costs it little, and that it
+// stays the faster wire.
 //
 // Latency percentiles come from the shared telemetry::Histogram (the same
 // fixed ladder the serve daemon exports over METRICS), not an ad-hoc
@@ -417,9 +419,16 @@ int main() {
     std::printf("FAIL: fan-out run produced no alerts\n");
     ok = false;
   }
-  if (socket_binary < 3.0 * socket_text) {
+  if (socket_binary < 0.7 * direct) {
     std::printf(
-        "FAIL: binary socket ingest %.0f frames/s is under 3x text's %.0f "
+        "FAIL: binary socket ingest %.0f frames/s is under 0.7x direct "
+        "push's %.0f frames/s\n",
+        socket_binary, direct);
+    ok = false;
+  }
+  if (socket_binary <= socket_text) {
+    std::printf(
+        "FAIL: binary socket ingest %.0f frames/s does not beat text's %.0f "
         "frames/s\n",
         socket_binary, socket_text);
     ok = false;

@@ -426,7 +426,6 @@ void ServeServer::handle_data_line(Connection& conn, std::string_view line) {
       return;
     }
   }
-  trace::LogRecord record;
   const bool sampled =
       parse_hist_ != nullptr && ++sample_tick_ >= telemetry_sample_;
   std::int64_t t0 = 0;
@@ -434,20 +433,21 @@ void ServeServer::handle_data_line(Connection& conn, std::string_view line) {
     sample_tick_ = 0;
     t0 = steady_now_ns();
   }
-  try {
-    record = trace::parse_candump_line(line);
-    if (sampled) {
-      parse_hist_->observe(static_cast<std::uint64_t>(steady_now_ns() - t0));
-    }
-  } catch (const trace::ParseError&) {
+  // The detectors judge only (timestamp, id): scan the line straight to
+  // them, with no record built and no exception on a malformed line.
+  const trace::CandumpFields fields = trace::scan_candump_line(line);
+  if (fields.fault != nullptr) {
     // Same contract as file ingest: count it against the stream and keep
     // the connection alive.
     if (!conn.stream) open_stream_for(conn);
     conn.stream->record_parse_error();
     return;
   }
+  if (sampled) {
+    parse_hist_->observe(static_cast<std::uint64_t>(steady_now_ns() - t0));
+  }
   conn.scratch.push_back(
-      engine::FleetEngine::FrameItem{record.timestamp, record.frame.id()});
+      engine::FleetEngine::FrameItem{fields.timestamp, fields.id});
 }
 
 std::string ServeServer::do_reload(const std::string& path) {

@@ -1,9 +1,8 @@
 #include "trace/candump.h"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -14,103 +13,177 @@ namespace canids::trace {
 
 namespace {
 
-/// One from_chars pass both validates and converts: for an unsigned target
-/// it accepts exactly the [0-9a-fA-F]+ set (no sign, no "0x", no empty)
-/// that the old per-character isxdigit pre-scan checked, so the hot text
-/// path no longer walks every field twice.
-[[nodiscard]] std::uint32_t parse_hex(std::string_view s, const char* what) {
-  std::uint32_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), value, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(std::string("invalid ") + what + " '" + std::string(s) +
-                     "'");
+/// Hex digit value per byte, kNotHex for every other byte: one load both
+/// classifies and converts, and OR-ing a run of lookups tests it once.
+constexpr std::uint8_t kNotHex = 0x10;
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotHex);
+  for (std::uint8_t d = 0; d < 10; ++d) table['0' + d] = d;
+  for (std::uint8_t d = 0; d < 6; ++d) {
+    table['a' + d] = static_cast<std::uint8_t>(10 + d);
+    table['A' + d] = static_cast<std::uint8_t>(10 + d);
   }
-  return value;
+  return table;
+}();
+
+[[nodiscard]] std::uint8_t hex_value(char c) noexcept {
+  return kHexValue[static_cast<unsigned char>(c)];
+}
+
+/// The C-locale isspace set, the whitespace util::trim strips.
+[[nodiscard]] bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+[[nodiscard]] const char* find_char(const char* first, const char* last,
+                                    char c) noexcept {
+  return static_cast<const char*>(
+      std::memchr(first, c, static_cast<std::size_t>(last - first)));
+}
+
+[[nodiscard]] CandumpFields fail(CandumpFields& fields, const char* fault,
+                                 std::string_view quoted = {}) noexcept {
+  fields.fault = fault;
+  fields.quoted = quoted;
+  return fields;
+}
+
+[[nodiscard]] std::string fault_message(const CandumpFields& fields) {
+  std::string message = fields.fault;
+  if (fields.quoted.data() != nullptr) {
+    message += " '";
+    message += fields.quoted;
+    message += "'";
+  }
+  return message;
+}
+
+[[nodiscard]] LogRecord record_of(const CandumpFields& fields) {
+  LogRecord record{fields.timestamp, std::string(fields.channel), {}};
+  if (fields.remote) {
+    record.frame = can::Frame::remote_frame(fields.id, fields.remote_dlc);
+    return record;
+  }
+  std::array<std::uint8_t, can::kMaxDataBytes> bytes{};
+  const std::size_t size = fields.data.size() / 2;
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(hex_value(fields.data[2 * i]) << 4 |
+                                         hex_value(fields.data[2 * i + 1]));
+  }
+  record.frame = can::Frame::data_frame(
+      fields.id, std::span<const std::uint8_t>(bytes.data(), size));
+  return record;
+}
+
+/// Blank and '#'-comment lines carry no frame; file ingest skips them.
+[[nodiscard]] bool is_skipped(std::string_view line) noexcept {
+  const std::string_view body = util::trim(line);
+  return body.empty() || body.front() == '#';
 }
 
 }  // namespace
 
-LogRecord parse_candump_line(std::string_view line) {
-  const std::string_view trimmed = util::trim(line);
+CandumpFields scan_candump_line(std::string_view line) noexcept {
+  CandumpFields fields;
+  const char* p = line.data();
+  const char* end = p + line.size();
+  while (p < end && is_space(*p)) ++p;
+  while (end > p && is_space(end[-1])) --end;
 
-  // --- "(timestamp)" --------------------------------------------------------
-  if (trimmed.empty() || trimmed.front() != '(') {
-    throw ParseError("expected '(timestamp)' prefix");
+  // --- "(timestamp)": the timestamp runs to the first ')' ------------------
+  if (p == end || *p != '(') {
+    return fail(fields, "expected '(timestamp)' prefix");
   }
-  const std::size_t close = trimmed.find(')');
-  if (close == std::string_view::npos) {
-    throw ParseError("unterminated timestamp");
-  }
-  const std::string_view ts_text = trimmed.substr(1, close - 1);
-  std::int64_t timestamp_ns = 0;
-  if (!util::parse_decimal_seconds(ts_text, timestamp_ns)) {
-    throw ParseError("invalid timestamp '" + std::string(ts_text) + "'");
-  }
-
-  // --- channel ---------------------------------------------------------------
-  std::string_view rest = util::trim(trimmed.substr(close + 1));
-  const std::size_t space = rest.find(' ');
-  if (space == std::string_view::npos) {
-    throw ParseError("missing channel or frame field");
-  }
-  const std::string_view channel = rest.substr(0, space);
-  if (channel.empty()) throw ParseError("empty channel name");
-
-  // --- "ID#DATA" --------------------------------------------------------------
-  const std::string_view frame_text = util::trim(rest.substr(space + 1));
-  const std::size_t hash = frame_text.find('#');
-  if (hash == std::string_view::npos) {
-    throw ParseError("missing '#' separator in frame field");
-  }
-  const std::string_view id_text = frame_text.substr(0, hash);
-  std::string_view data_text = frame_text.substr(hash + 1);
-
-  const std::uint32_t raw_id = parse_hex(id_text, "identifier");
-  // candump prints 3 hex digits for standard IDs, 8 for extended ones.
-  can::CanId id;
-  if (id_text.size() > 3) {
-    if (raw_id > can::kMaxExtId) throw ParseError("extended ID out of range");
-    id = can::CanId::extended(raw_id);
-  } else {
-    if (raw_id > can::kMaxStdId) throw ParseError("standard ID out of range");
-    id = can::CanId::standard(raw_id);
+  const char* const stamp = ++p;
+  p = util::scan_decimal_seconds(stamp, end, fields.timestamp);
+  if (p == nullptr || p == end || *p != ')') {
+    const char* const close = find_char(stamp, end, ')');
+    if (close == nullptr) return fail(fields, "unterminated timestamp");
+    return fail(fields, "invalid timestamp",
+                {stamp, static_cast<std::size_t>(close - stamp)});
   }
 
-  LogRecord record;
-  record.timestamp = timestamp_ns;
-  record.channel = std::string(channel);
+  // --- channel: up to the next space ----------------------------------------
+  for (++p; p < end && is_space(*p); ++p) {
+  }
+  const char* const channel = p;
+  while (p < end && *p != ' ') ++p;
+  if (p == end) return fail(fields, "missing channel or frame field");
+  fields.channel = {channel, static_cast<std::size_t>(p - channel)};
+  for (++p; p < end && is_space(*p); ++p) {
+  }
 
-  if (!data_text.empty() && (data_text.front() == 'R' || data_text.front() == 'r')) {
-    // Remote frame: "R" optionally followed by the requested DLC.
-    data_text.remove_prefix(1);
-    std::uint8_t dlc = 0;
-    if (!data_text.empty()) {
-      if (data_text.size() != 1 ||
-          std::isdigit(static_cast<unsigned char>(data_text.front())) == 0) {
-        throw ParseError("invalid remote frame DLC");
-      }
-      dlc = static_cast<std::uint8_t>(data_text.front() - '0');
-      if (dlc > can::kMaxDataBytes) throw ParseError("remote DLC out of range");
+  // --- "ID#": candump prints 3 hex digits for standard IDs, 8 for extended -
+  const char* const id_text = p;
+  std::uint64_t raw = 0;
+  std::uint64_t overflow = 0;
+  for (; p < end; ++p) {
+    const std::uint8_t digit = hex_value(*p);
+    if ((digit & kNotHex) != 0) break;
+    overflow |= raw >> 28;  // the shift would leave uint32
+    raw = raw << 4 | digit;
+  }
+  if (p == end || *p != '#') {
+    const char* const hash = find_char(id_text, end, '#');
+    if (hash == nullptr) {
+      return fail(fields, "missing '#' separator in frame field");
     }
-    record.frame = can::Frame::remote_frame(id, dlc);
-    return record;
+    return fail(fields, "invalid identifier",
+                {id_text, static_cast<std::size_t>(hash - id_text)});
+  }
+  const auto digits = static_cast<std::size_t>(p - id_text);
+  if (digits == 0 || overflow != 0) {
+    return fail(fields, "invalid identifier", {id_text, digits});
+  }
+  if (digits > 3) {
+    if (raw > can::kMaxExtId) return fail(fields, "extended ID out of range");
+    fields.id = can::CanId::extended(static_cast<std::uint32_t>(raw));
+  } else {
+    if (raw > can::kMaxStdId) return fail(fields, "standard ID out of range");
+    fields.id = can::CanId::standard(static_cast<std::uint32_t>(raw));
+  }
+  ++p;
+
+  // --- remote frame: "R" optionally followed by the requested DLC ----------
+  if (p < end && (*p == 'R' || *p == 'r')) {
+    fields.remote = true;
+    if (++p == end) return fields;
+    if (end - p != 1 || *p < '0' || *p > '9') {
+      return fail(fields, "invalid remote frame DLC");
+    }
+    fields.remote_dlc = static_cast<std::uint8_t>(*p - '0');
+    if (fields.remote_dlc > can::kMaxDataBytes) {
+      return fail(fields, "remote DLC out of range");
+    }
+    return fields;
   }
 
-  if (data_text.size() % 2 != 0) {
-    throw ParseError("odd number of data nibbles");
+  // --- data: up to 8 bytes of two hex digits each ---------------------------
+  const auto nibbles = static_cast<std::size_t>(end - p);
+  if (nibbles % 2 != 0) return fail(fields, "odd number of data nibbles");
+  if (nibbles > 2 * can::kMaxDataBytes) {
+    return fail(fields, "data field longer than 8 bytes");
   }
-  if (data_text.size() / 2 > can::kMaxDataBytes) {
-    throw ParseError("data field longer than 8 bytes");
+  std::uint8_t classes = 0;
+  for (const char* q = p; q < end; ++q) classes |= hex_value(*q);
+  if ((classes & kNotHex) != 0) {
+    for (const char* q = p;; q += 2) {
+      if (((hex_value(q[0]) | hex_value(q[1])) & kNotHex) != 0) {
+        return fail(fields, "invalid data byte", {q, 2});
+      }
+    }
   }
-  std::array<std::uint8_t, can::kMaxDataBytes> bytes{};
-  for (std::size_t i = 0; i < data_text.size() / 2; ++i) {
-    const std::string_view byte_text = data_text.substr(2 * i, 2);
-    bytes[i] = static_cast<std::uint8_t>(parse_hex(byte_text, "data byte"));
+  fields.data = {p, nibbles};
+  return fields;
+}
+
+LogRecord parse_candump_line(std::string_view line) {
+  const CandumpFields fields = scan_candump_line(line);
+  if (fields.fault != nullptr) {
+    throw ParseError(fault_message(fields));
   }
-  record.frame = can::Frame::data_frame(
-      id, std::span<const std::uint8_t>(bytes.data(), data_text.size() / 2));
-  return record;
+  return record_of(fields);
 }
 
 std::string to_candump_line(const LogRecord& record) {
@@ -130,18 +203,33 @@ CandumpSource::CandumpSource(const std::filesystem::path& path)
   }
 }
 
-std::optional<LogRecord> CandumpSource::next_record() {
+bool CandumpSource::next_fields(CandumpFields& fields) {
   while (std::getline(*in_, line_)) {
     ++line_number_;
-    const std::string_view body = util::trim(line_);
-    if (body.empty() || body.front() == '#') continue;
-    try {
-      return parse_candump_line(body);
-    } catch (const ParseError& e) {
-      throw ParseError(e.what(), line_number_);
+    fields = scan_candump_line(line_);
+    if (fields.fault == nullptr) return true;
+    if (!is_skipped(line_)) {
+      throw ParseError(fault_message(fields), line_number_);
     }
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<LogRecord> CandumpSource::next_record() {
+  CandumpFields fields;
+  if (!next_fields(fields)) return std::nullopt;
+  return record_of(fields);
+}
+
+std::size_t CandumpSource::fill_ids(std::vector<can::TimedId>& out,
+                                    std::size_t max) {
+  std::size_t added = 0;
+  CandumpFields fields;
+  while (added < max && next_fields(fields)) {
+    out.push_back(can::TimedId{fields.timestamp, fields.id});
+    ++added;
+  }
+  return added;
 }
 
 Trace read_candump(std::istream& in) {

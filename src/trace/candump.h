@@ -8,6 +8,7 @@
 // Extended identifiers are recognised by their 8-hex-digit ID field.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <iosfwd>
 #include <memory>
@@ -18,6 +19,27 @@
 #include "trace/trace_source.h"
 
 namespace canids::trace {
+
+/// One candump line's fields, as views into the scanned line.
+struct CandumpFields {
+  /// nullptr when the line parsed. Otherwise the ParseError message
+  /// parse_candump_line throws, followed by `quoted` in quotes when
+  /// quoted.data() is set (an empty quote quotes an empty field).
+  const char* fault = nullptr;
+  std::string_view quoted;
+  util::TimeNs timestamp = 0;
+  can::CanId id;
+  bool remote = false;
+  std::uint8_t remote_dlc = 0;
+  std::string_view channel;
+  /// A data frame's payload: an even count of validated hex digits.
+  std::string_view data;
+};
+
+/// Scan one candump line in a single pass, without allocating: the
+/// decoder both ingest paths share. On a fault, only `fault` and `quoted`
+/// are meaningful.
+[[nodiscard]] CandumpFields scan_candump_line(std::string_view line) noexcept;
 
 /// Parse one candump log line. Throws ParseError on malformed input.
 [[nodiscard]] LogRecord parse_candump_line(std::string_view line);
@@ -36,8 +58,15 @@ class CandumpSource final : public RecordSource {
   explicit CandumpSource(const std::filesystem::path& path);
 
   std::optional<LogRecord> next_record() override;
+  /// Scans each line straight to (timestamp, id); no LogRecord is built.
+  std::size_t fill_ids(std::vector<can::TimedId>& out,
+                       std::size_t max) override;
 
  private:
+  /// Scan lines up to the next frame, skipping blank and '#' lines; false
+  /// at end of stream. The views in `fields` point into line_.
+  bool next_fields(CandumpFields& fields);
+
   std::unique_ptr<std::istream> owned_;
   std::istream* in_;
   std::string line_;  ///< reused per getline — one allocation per source

@@ -132,35 +132,46 @@ void expect_stream_end(std::istream& in, std::string_view context) {
 
 bool parse_decimal_seconds(std::string_view text,
                            std::int64_t& nanoseconds) noexcept {
-  text = trim(text);
-  if (text.empty()) return false;
+  const char* const last = text.data() + text.size();
+  std::int64_t parsed = 0;
+  if (scan_decimal_seconds(text.data(), last, parsed) != last) return false;
+  nanoseconds = parsed;
+  return true;
+}
+
+const char* scan_decimal_seconds(const char* first, const char* last,
+                                 std::int64_t& nanoseconds) noexcept {
+  // The C-locale isspace set, without the locale lookup.
+  const auto is_space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  const char* p = first;
+  while (p < last && is_space(*p)) ++p;
   std::int64_t seconds = 0;
-  std::size_t i = 0;
   bool any_digit = false;
-  for (; i < text.size() && text[i] != '.'; ++i) {
-    if (text[i] < '0' || text[i] > '9') return false;
-    if (seconds > (INT64_MAX - 9) / 10) return false;  // overflow guard
-    seconds = seconds * 10 + (text[i] - '0');
+  for (; p < last && is_digit(*p); ++p) {
+    if (seconds > (INT64_MAX - 9) / 10) return nullptr;  // overflow guard
+    seconds = seconds * 10 + (*p - '0');
     any_digit = true;
   }
   std::int64_t fraction = 0;
   int fraction_digits = 0;
-  if (i < text.size()) {
-    ++i;  // skip '.'
-    for (; i < text.size(); ++i) {
-      if (text[i] < '0' || text[i] > '9') return false;
+  if (p < last && *p == '.') {
+    for (++p; p < last && is_digit(*p); ++p) {
       if (fraction_digits < 9) {
-        fraction = fraction * 10 + (text[i] - '0');
+        fraction = fraction * 10 + (*p - '0');
         ++fraction_digits;
       }
       any_digit = true;
     }
   }
-  if (!any_digit) return false;
+  if (!any_digit) return nullptr;
   for (; fraction_digits < 9; ++fraction_digits) fraction *= 10;
-  if (seconds > (INT64_MAX - fraction) / 1'000'000'000) return false;
+  if (seconds > (INT64_MAX - fraction) / 1'000'000'000) return nullptr;
   nanoseconds = seconds * 1'000'000'000 + fraction;
-  return true;
+  while (p < last && is_space(*p)) ++p;
+  return p;
 }
 
 CsvWriter::CsvWriter(std::ostream& os, std::vector<std::string> header)

@@ -27,9 +27,19 @@ namespace canids::util {
 /// Parse a non-negative decimal-seconds literal ("1436509052.249713") into
 /// exact nanoseconds, without going through double (which loses nanosecond
 /// precision on epoch-sized values). Fractional digits beyond 9 are
-/// truncated. Returns false on malformed input.
+/// truncated. Surrounding ASCII whitespace is allowed. Returns false on
+/// malformed input.
 [[nodiscard]] bool parse_decimal_seconds(std::string_view text,
                                          std::int64_t& nanoseconds) noexcept;
+
+/// The scanning form of parse_decimal_seconds, for parsers that read a
+/// literal in place: reads whitespace, digits, an optional '.' and fraction
+/// digits, and whitespace from the front of [first, last), and returns
+/// where it stopped (the caller checks what follows). Returns nullptr, with
+/// `nanoseconds` untouched, when no digit was read or the value does not
+/// fit in int64 nanoseconds.
+[[nodiscard]] const char* scan_decimal_seconds(
+    const char* first, const char* last, std::int64_t& nanoseconds) noexcept;
 
 /// Strict double parse: the whole token must be consumed and the value
 /// finite (the rule every model/label text format shares — a trailing 'x'

@@ -479,6 +479,88 @@ TEST(ServeServerTest, SocketIngestMatchesDirectEngineRun) {
   std::filesystem::remove(config.uds_path);
 }
 
+TEST(ServeServerTest, MalformedLinesAreCountedAndNeverFatal) {
+  const ServeWorld world;
+  const std::vector<trace::LogRecord> records =
+      world.make_trace(5, 6, {1, 4});
+  const std::vector<std::string> expected =
+      direct_alert_lines(world, records);
+  ASSERT_FALSE(expected.empty());
+
+  // One line from each way the candump scanner rejects a line.
+  const std::vector<std::string> bad = {
+      "1.5) can0 123#00",                    // no "(timestamp)" prefix
+      "(1.5 can0 123#00",                    // unterminated timestamp
+      "(1.x) can0 123#00",                   // invalid timestamp
+      "(1.5) can0",                          // no frame field
+      "(1.5) can0 123",                      // no '#'
+      "(1.5) can0 X23#00",                   // invalid identifier
+      "(1.5) can0 20000000#00",              // extended ID out of range
+      "(1.5) can0 800#00",                   // standard ID out of range
+      "(1.5) can0 123#R10",                  // invalid remote DLC
+      "(1.5) can0 123#R9",                   // remote DLC out of range
+      "(1.5) can0 123#001",                  // odd nibble count
+      "(1.5) can0 123#001122334455667788",   // more than 8 bytes
+      "(1.5) can0 123#0g",                   // invalid data byte
+  };
+
+  ServeConfig config;
+  config.uds_path = socket_path("malformed");
+  const std::string alerts_path = config.uds_path + ".jsonl";
+  config.alerts_out = alerts_path;
+  RunningServer running(world, config);
+
+  const int data = connect_addr(config.uds_path);
+  send_all(data, "HELLO bus\n");
+  std::string payload;
+  const std::size_t stride = records.size() / (bad.size() + 1);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i % stride == stride / 2 && i / stride < bad.size()) {
+      payload += bad[i / stride] + "\n";
+    }
+    payload += trace::to_candump_line(records[i]) + "\n";
+  }
+  send_all(data, payload);
+
+  // Every line is taken in while the connection is still open.
+  const auto taken_in = [&] {
+    const std::vector<engine::StreamStatus> status = running.engine->status();
+    if (status.empty()) return false;
+    const ids::PipelineCounters& counters = status.front().counters;
+    return counters.frames == records.size() &&
+           counters.parse_errors == bad.size();
+  };
+  for (int i = 0; i < 2000 && !taken_in(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(taken_in());
+  // The server has not hung up: a read finds nothing to read, not EOF.
+  char byte = 0;
+  EXPECT_EQ(::recv(data, &byte, 1, MSG_DONTWAIT), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+  ::close(data);
+
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<engine::StreamStatus> status =
+        running.engine->status();
+    if (!status.empty() && status.front().drained) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  running.shutdown_and_join();
+
+  // The valid lines alert exactly as a clean run does.
+  std::ifstream in(alerts_path);
+  std::vector<std::string> filed;
+  for (std::string line; std::getline(in, line);) filed.push_back(line);
+  EXPECT_EQ(filed, expected);
+  const ids::PipelineCounters& totals = running.engine->totals();
+  EXPECT_EQ(totals.frames, records.size());
+  EXPECT_EQ(totals.parse_errors, bad.size());
+
+  std::filesystem::remove(alerts_path);
+  std::filesystem::remove(config.uds_path);
+}
+
 TEST(ServeServerTest, ControlStatusReloadShutdown) {
   const ServeWorld world;
 

@@ -5,7 +5,7 @@
 //   3. Attach the IDS pipeline and stream frames through it.
 //   4. React to alerts: which bits moved, which IDs are suspect.
 //
-// Build & run:  ./quickstart
+// Build & run:  ./example_quickstart
 #include <cstdio>
 #include <optional>
 

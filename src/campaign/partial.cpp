@@ -221,6 +221,7 @@ void PartialReport::save(std::ostream& out) const {
     writer.u64(row.plan_index);
     write_trial(writer, row.trial);
   }
+  out.flush();
   if (!out) fail("write failed");
 }
 

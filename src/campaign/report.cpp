@@ -327,29 +327,20 @@ void CampaignReport::write_json(std::ostream& out) const {
 
 void CampaignReport::write_all(const std::filesystem::path& dir) const {
   std::filesystem::create_directories(dir);
-  const auto open = [&](const char* file) {
-    std::ofstream out(dir / file);
-    if (!out) {
-      throw std::runtime_error("cannot write " + (dir / file).string());
-    }
-    return out;
+  using Writer = void (CampaignReport::*)(std::ostream&) const;
+  const auto write = [&](const char* file, Writer writer) {
+    const std::filesystem::path path = dir / file;
+    std::ofstream out(path);
+    if (!out) throw std::runtime_error("cannot write " + path.string());
+    (this->*writer)(out);
+    // Flush first: a full device fails the write, not the open.
+    out.flush();
+    if (!out) throw std::runtime_error(path.string() + ": write failed");
   };
-  {
-    std::ofstream out = open("trials.csv");
-    write_trials_csv(out);
-  }
-  {
-    std::ofstream out = open("cells.csv");
-    write_cells_csv(out);
-  }
-  {
-    std::ofstream out = open("roc.csv");
-    write_roc_csv(out);
-  }
-  {
-    std::ofstream out = open("report.json");
-    write_json(out);
-  }
+  write("trials.csv", &CampaignReport::write_trials_csv);
+  write("cells.csv", &CampaignReport::write_cells_csv);
+  write("roc.csv", &CampaignReport::write_roc_csv);
+  write("report.json", &CampaignReport::write_json);
 }
 
 }  // namespace canids::campaign

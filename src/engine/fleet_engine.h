@@ -322,10 +322,10 @@ struct FleetRunResult {
 /// stream's backend and retires the stream at its end (final partial
 /// window, drained, stream_drained event): no queue, no shard worker, so
 /// every thread is a judging thread. With fewer sources than threads the
-/// spare cores are better spent overlapping decode and judging (candump
-/// text decodes about 5x slower than bit-entropy judges), so the blocks go
-/// through the streams' queues to the shard workers, like serve's. Then
-/// finish().
+/// spare cores are better spent overlapping decode and judging (decoding
+/// candump text costs more per frame than bit-entropy judging it), so the
+/// blocks go through the streams' queues to the shard workers, like
+/// serve's. Then finish().
 FleetRunResult run_fleet(FleetEngine& engine,
                          std::vector<NamedSource> sources,
                          int producer_threads = 0);

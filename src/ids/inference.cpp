@@ -18,7 +18,26 @@ namespace {
   return static_cast<double>((id >> (width - 1 - bit)) & 1u);
 }
 
+/// Largest injected-set size considered: Table I tests up to four IDs, and
+/// the active-set solver's scratch is sized for it.
 constexpr std::size_t kMaxSet = 4;
+/// A bit constrains candidates when |delta p_i| exceeds
+/// max(kNoiseMultiplier * probability_range_i, kMinProbabilityShift).
+constexpr double kNoiseMultiplier = 3.0;
+constexpr double kMinProbabilityShift = 0.004;
+/// Beam width of the multi-ID set search.
+constexpr std::size_t kBeamWidth = 96;
+/// Size of the reduced candidate pool fed to the beam search.
+constexpr std::size_t kSearchPool = 96;
+static_assert(kSearchPool >= kMaxSet);
+/// How many of the best hypotheses per set size feed the marginal-evidence
+/// ranking.
+constexpr std::size_t kSetsPerSizeRanked = 12;
+/// Upper bound for the injected-traffic fraction lambda.
+constexpr double kLambdaMax = 0.75;
+/// Complexity penalty added per extra injected ID when estimating the set
+/// size (keeps the fit from always preferring larger sets).
+constexpr double kSizePenalty = 2e-4;
 
 /// A partial injected-set hypothesis during beam search.
 struct Hypothesis {
@@ -64,13 +83,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
   CANIDS_EXPECTS(golden_ != nullptr);
   CANIDS_EXPECTS(!id_pool_.empty());
   CANIDS_EXPECTS(config_.rank > 0);
-  CANIDS_EXPECTS(config_.beam_width > 0);
-  // The active-set solver uses fixed 4x5 scratch; Table I also tops out at
-  // four injected identifiers.
-  CANIDS_EXPECTS(config_.max_injected_ids >= 1 &&
-                 config_.max_injected_ids <= 4);
-  CANIDS_EXPECTS(config_.search_pool >= config_.max_injected_ids);
-  CANIDS_EXPECTS(config_.lambda_max > 0.0);
   std::sort(id_pool_.begin(), id_pool_.end());
   id_pool_.erase(std::unique(id_pool_.begin(), id_pool_.end()),
                  id_pool_.end());
@@ -119,8 +131,8 @@ std::vector<BitConstraint> InferenceEngine::derive_constraints(
   for (int i = 0; i < golden_->width; ++i) {
     const auto b = static_cast<std::size_t>(i);
     const double noise =
-        std::max(config_.noise_multiplier * golden_->probability_range(i),
-                 config_.min_probability_shift);
+        std::max(kNoiseMultiplier * golden_->probability_range(i),
+                 kMinProbabilityShift);
     if (std::abs(delta_p[b]) > noise) {
       constraints.push_back(BitConstraint{i, delta_p[b] > 0.0, delta_p[b]});
     }
@@ -252,10 +264,10 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
 
     double total = 0.0;
     for (std::size_t j = 0; j < k; ++j) total += w[j];
-    if (total > config_.lambda_max && total > 0.0) {
-      const double scale = config_.lambda_max / total;
+    if (total > kLambdaMax && total > 0.0) {
+      const double scale = kLambdaMax / total;
       for (std::size_t j = 0; j < k; ++j) w[j] *= scale;
-      total = config_.lambda_max;
+      total = kLambdaMax;
     }
 
     double residual = 0.0;
@@ -270,7 +282,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     // Members fitted to ~zero weight contribute nothing but still occupy a
     // set slot; penalise them so leaner sets win ties.
     for (std::size_t j = 0; j < k; ++j) {
-      if (w[j] < 1e-4) residual += config_.size_penalty;
+      if (w[j] < 1e-4) residual += kSizePenalty;
     }
     out.lambda = total;
     out.residual = residual;
@@ -292,7 +304,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // Order every pool ID by how well it explains the shift on its own (the
   // singleton fit uses the pairwise statistics too, unlike the plain
   // alignment score), then keep the strongest plus all constraint-
-  // satisfying candidates, capped at config_.search_pool.
+  // satisfying candidates, capped at kSearchPool.
   std::vector<std::pair<double, std::size_t>> singles;
   singles.reserve(pool_size);
   for (std::size_t n = 0; n < pool_size; ++n) {
@@ -308,7 +320,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   std::vector<std::size_t> search_pool;
   std::vector<bool> in_pool(pool_size, false);
   auto add_to_pool = [&](std::size_t n) {
-    if (static_cast<int>(search_pool.size()) >= config_.search_pool) return;
+    if (search_pool.size() >= kSearchPool) return;
     if (!in_pool[n]) {
       in_pool[n] = true;
       search_pool.push_back(n);
@@ -326,7 +338,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   std::sort(search_pool.begin(), search_pool.end());
 
   // pattern . pattern for every pair of search-pool members: at most
-  // search_pool^2 doubles, whatever the size of the legal ID pool.
+  // kSearchPool^2 doubles, whatever the size of the legal ID pool.
   const std::size_t pool_span = search_pool.size();
   std::vector<double> gram(pool_span * pool_span);
   for (std::size_t r = 0; r < pool_span; ++r) {
@@ -375,15 +387,12 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
                      [](const Hypothesis& a, const Hypothesis& b) {
                        return a.residual < b.residual;
                      });
-    if (static_cast<int>(hs.size()) > config_.beam_width) {
-      hs.resize(static_cast<std::size_t>(config_.beam_width));
-    }
+    if (hs.size() > kBeamWidth) hs.resize(kBeamWidth);
   };
   auto harvest = [&](const std::vector<Hypothesis>& hs) {
     if (hs.empty()) return;
     best_per_size.push_back(hs.front());
-    const auto take = std::min<std::size_t>(
-        hs.size(), static_cast<std::size_t>(config_.sets_per_size_ranked));
+    const auto take = std::min(hs.size(), kSetsPerSizeRanked);
     top_sets.insert(top_sets.end(), hs.begin(),
                     hs.begin() + static_cast<std::ptrdiff_t>(take));
   };
@@ -391,7 +400,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   harvest(beam);
 
   std::vector<Hypothesis> next;
-  for (int k = 2; k <= config_.max_injected_ids && !beam.empty(); ++k) {
+  for (std::size_t k = 2; k <= kMaxSet && !beam.empty(); ++k) {
     next.clear();
     for (const Hypothesis& h : beam) {
       for (std::size_t pi = h.members[h.size - 1] + 1; pi < pool_span; ++pi) {
@@ -413,7 +422,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t s = 0; s < best_per_size.size(); ++s) {
       const double score =
           best_per_size[s].residual +
-          config_.size_penalty * static_cast<double>(best_per_size[s].size);
+          kSizePenalty * static_cast<double>(best_per_size[s].size);
       if (score < best_score) {
         best_score = score;
         best_index = s;

@@ -27,24 +27,6 @@ namespace canids::ids {
 struct InferenceConfig {
   /// Candidate list length (paper: rank = 10).
   int rank = 10;
-  /// A bit constrains candidates when |delta p_i| exceeds
-  /// max(noise_multiplier * probability_range_i, min_probability_shift).
-  double noise_multiplier = 3.0;
-  double min_probability_shift = 0.004;
-  /// Beam width of the multi-ID set search.
-  int beam_width = 96;
-  /// Largest injected-set size considered (Table I tests up to 4).
-  int max_injected_ids = 4;
-  /// Size of the reduced candidate pool fed to the beam search.
-  int search_pool = 96;
-  /// How many of the best hypotheses per set size feed the marginal-
-  /// evidence ranking.
-  int sets_per_size_ranked = 12;
-  /// Upper bound for the injected-traffic fraction lambda.
-  double lambda_max = 0.75;
-  /// Complexity penalty added per extra injected ID when estimating the
-  /// set size (keeps the fit from always preferring larger sets).
-  double size_penalty = 2e-4;
 };
 
 /// One direction constraint derived from a shifted bit.

@@ -10,6 +10,10 @@ namespace canids::metrics {
 
 namespace {
 
+/// Clean traffic recorded per driving behaviour when training a baseline
+/// model.
+constexpr util::TimeNs kBaselineTrainingPerBehavior = 6 * util::kSecond;
+
 /// Deterministic sub-seed derivation.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base,
                                         std::uint64_t salt) noexcept {
@@ -387,7 +391,7 @@ ExperimentRunner::muter_model() {
       config_.pipeline.window.duration);
   for (std::uint64_t i = 0; i < trace::kAllBehaviors.size(); ++i) {
     for (const trace::LogRecord& record : vehicle_.record_trace(
-             trace::kAllBehaviors[i], config_.baseline_training_per_behavior,
+             trace::kAllBehaviors[i], kBaselineTrainingPerBehavior,
              100 + i)) {
       if (auto window =
               accumulator.add(record.timestamp, record.frame.id().raw())) {
@@ -409,7 +413,7 @@ ExperimentRunner::interval_model() {
   baselines::IntervalIds model(config_.interval);
   for (std::uint64_t i = 0; i < trace::kAllBehaviors.size(); ++i) {
     for (const trace::LogRecord& record : vehicle_.record_trace(
-             trace::kAllBehaviors[i], config_.baseline_training_per_behavior,
+             trace::kAllBehaviors[i], kBaselineTrainingPerBehavior,
              200 + i)) {
       model.train(record.timestamp, record.frame.id().raw());
     }

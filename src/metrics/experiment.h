@@ -46,9 +46,6 @@ struct ExperimentConfig {
   /// are trained lazily on clean traffic.
   baselines::MuterConfig muter;
   baselines::IntervalConfig interval;
-  /// Clean traffic recorded per driving behaviour when training a
-  /// baseline model.
-  util::TimeNs baseline_training_per_behavior = 6 * util::kSecond;
 };
 
 /// One closed window as an instrumented trial observed it — enough to

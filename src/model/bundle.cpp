@@ -61,6 +61,7 @@ void ModelBundle::save(std::ostream& out) const {
     writer.u64(section.payload.size());
     writer.bytes(section.payload);
   }
+  out.flush();
   if (!out) fail("write failed");
 }
 

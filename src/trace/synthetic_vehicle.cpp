@@ -33,6 +33,18 @@ constexpr Tier kTiers[] = {
 constexpr int kEventIds = 20;  // behaviour-gated, 200 ms while active
 constexpr util::TimeNs kEventPeriod = 200 * kMs;
 
+/// Number of active identifiers; the paper's Ford Fusion uses 223
+/// (10.88 % of the 2048-value standard ID space).
+constexpr int kTotalIds = 223;
+static_assert(kTotalIds > kEventIds);
+/// Assigned-ID range. Real vehicles avoid the extremes of the space.
+constexpr std::uint32_t kIdFloor = 0x040;
+constexpr std::uint32_t kIdCeiling = 0x7EF;
+static_assert(kIdCeiling <= can::kMaxStdId && kIdCeiling > kIdFloor);
+static_assert(kIdCeiling - kIdFloor + 1 >=
+              static_cast<std::uint32_t>(kTotalIds));
+
+/// One simulated ECU per name; the IDs are distributed over all of them.
 constexpr std::array<std::string_view, 12> kEcuNames = {
     "EngineControl",   "TransmissionControl", "BrakeControl",
     "PowerSteering",   "AirbagRestraint",     "BodyControl",
@@ -58,13 +70,6 @@ std::string_view behavior_name(DrivingBehavior behavior) noexcept {
 SyntheticVehicle::SyntheticVehicle(VehicleConfig config)
     : config_(config) {
   CANIDS_EXPECTS(config_.period_scale > 0.0);
-  CANIDS_EXPECTS(config_.total_ids > kEventIds);
-  CANIDS_EXPECTS(config_.ecu_count > 0 &&
-                 config_.ecu_count <= static_cast<int>(kEcuNames.size()));
-  CANIDS_EXPECTS(config_.id_ceiling <= can::kMaxStdId);
-  CANIDS_EXPECTS(config_.id_ceiling > config_.id_floor);
-  CANIDS_EXPECTS(config_.id_ceiling - config_.id_floor + 1 >=
-                 static_cast<std::uint32_t>(config_.total_ids));
   build_id_layout();
 }
 
@@ -73,30 +78,28 @@ void SyntheticVehicle::build_id_layout() {
 
   // Draw the assigned identifier set, deterministic in the vehicle seed.
   std::set<std::uint32_t> chosen;
-  while (static_cast<int>(chosen.size()) < config_.total_ids) {
-    const auto span = config_.id_ceiling - config_.id_floor + 1;
-    chosen.insert(config_.id_floor +
-                  static_cast<std::uint32_t>(rng.below(span)));
+  while (static_cast<int>(chosen.size()) < kTotalIds) {
+    const auto span = kIdCeiling - kIdFloor + 1;
+    chosen.insert(kIdFloor + static_cast<std::uint32_t>(rng.below(span)));
   }
   id_pool_.assign(chosen.begin(), chosen.end());  // ascending
 
-  ecus_.resize(static_cast<std::size_t>(config_.ecu_count));
-  for (int e = 0; e < config_.ecu_count; ++e) {
-    ecus_[static_cast<std::size_t>(e)].name =
-        std::string(kEcuNames[static_cast<std::size_t>(e)]);
+  ecus_.resize(kEcuNames.size());
+  for (std::size_t e = 0; e < kEcuNames.size(); ++e) {
+    ecus_[e].name = std::string(kEcuNames[e]);
   }
 
   // Walk the sorted pool through the period tiers; distribute messages over
   // ECUs round-robin so every ECU owns a mix of priorities.
   std::size_t index = 0;
-  int ecu_cursor = 0;
+  std::size_t ecu_cursor = 0;
   auto next_ecu = [&]() -> EcuDescriptor& {
-    EcuDescriptor& ecu = ecus_[static_cast<std::size_t>(ecu_cursor)];
-    ecu_cursor = (ecu_cursor + 1) % config_.ecu_count;
+    EcuDescriptor& ecu = ecus_[ecu_cursor];
+    ecu_cursor = (ecu_cursor + 1) % ecus_.size();
     return ecu;
   };
 
-  const int periodic_ids = config_.total_ids - kEventIds;
+  const int periodic_ids = kTotalIds - kEventIds;
   int tier_index = 0;
   int remaining_in_tier = kTiers[0].count;
   for (int i = 0; i < periodic_ids; ++i, ++index) {

@@ -48,14 +48,6 @@ inline constexpr std::array<DrivingBehavior, 7> kAllBehaviors = {
 [[nodiscard]] std::string_view behavior_name(DrivingBehavior behavior) noexcept;
 
 struct VehicleConfig {
-  /// Number of active identifiers; the paper's Ford Fusion uses 223
-  /// (10.88 % of the 2048-value standard ID space).
-  int total_ids = 223;
-  /// Assigned-ID range. Real vehicles avoid the extremes of the space.
-  std::uint32_t id_floor = 0x040;
-  std::uint32_t id_ceiling = 0x7EF;
-  /// Number of simulated ECUs the IDs are distributed over.
-  int ecu_count = 12;
   /// Master seed fixing the ID layout and schedule of this vehicle.
   std::uint64_t seed = 0xF0D02016u;
   /// Multiplier applied to every message period; < 1 raises the bus load

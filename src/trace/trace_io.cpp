@@ -38,8 +38,8 @@ TraceFormat detect_format(std::istream& in) {
   while (std::getline(in, line)) {
     const std::string_view body = util::trim(line);
     if (body.empty()) continue;
-    // candump lines start with "(timestamp)"; anything else that contains a
-    // comma is treated as CSV.
+    // candump lines start with "(timestamp)"; a first non-blank line that
+    // does not is treated as CSV.
     format = (body.front() == '(') ? TraceFormat::kCandump
                                    : TraceFormat::kVspyCsv;
     break;
@@ -110,6 +110,11 @@ void save_trace_file(const std::filesystem::path& path, const Trace& trace,
                              path.string());
   }
   save_trace(out, trace, format);
+  // Flush first: a full device fails the write, not the open.
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("trace file " + path.string() + ": write failed");
+  }
 }
 
 TraceRecorder::TraceRecorder(can::BusSimulator& bus, std::string channel)

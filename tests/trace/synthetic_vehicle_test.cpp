@@ -22,8 +22,9 @@ TEST(SyntheticVehicleTest, IdPoolSortedUniqueAndInRange) {
   for (std::size_t i = 1; i < pool.size(); ++i) {
     EXPECT_LT(pool[i - 1], pool[i]);
   }
-  EXPECT_GE(pool.front(), vehicle.config().id_floor);
-  EXPECT_LE(pool.back(), vehicle.config().id_ceiling);
+  // The assigned range avoids the extremes of the standard ID space.
+  EXPECT_GE(pool.front(), 0x040u);
+  EXPECT_LE(pool.back(), 0x7EFu);
 }
 
 TEST(SyntheticVehicleTest, DeterministicForSameSeed) {
@@ -126,17 +127,6 @@ TEST(SyntheticVehicleTest, SameRunSeedReproducesExactly) {
     EXPECT_EQ(a[i].timestamp, b[i].timestamp);
     EXPECT_EQ(a[i].frame, b[i].frame);
   }
-}
-
-TEST(SyntheticVehicleTest, ConfigValidation) {
-  VehicleConfig bad;
-  bad.total_ids = 10;  // fewer than the event-ID tail
-  EXPECT_THROW(SyntheticVehicle{bad}, canids::ContractViolation);
-
-  VehicleConfig too_narrow;
-  too_narrow.id_floor = 0x100;
-  too_narrow.id_ceiling = 0x120;
-  EXPECT_THROW(SyntheticVehicle{too_narrow}, canids::ContractViolation);
 }
 
 TEST(BehaviorNameTest, AllNamed) {

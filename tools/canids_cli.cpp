@@ -172,6 +172,19 @@ int usage() {
   return 64;  // EX_USAGE
 }
 
+/// Runs one output file's save. An output that cannot be opened or written
+/// is reported, and the command exits 66 when this returns false.
+template <typename Save>
+[[nodiscard]] bool saved(Save&& save) {
+  try {
+    save();
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+}
+
 std::optional<double> arg_number(std::vector<std::string>& args,
                                  const std::string& flag) {
   for (std::size_t i = 0; i + 1 < args.size(); ++i) {
@@ -279,7 +292,9 @@ int cmd_convert(const std::string& in_path, const std::string& out_path,
   reject_leftovers(args);
 
   const trace::Trace capture = trace::load_trace_file(in_path);
-  trace::save_trace_file(out_path, capture, format);
+  if (!saved([&] { trace::save_trace_file(out_path, capture, format); })) {
+    return 66;
+  }
   std::printf("%zu frames -> %s (%s)\n", capture.size(), out_path.c_str(),
               std::string(trace::trace_format_name(format)).c_str());
   return 0;
@@ -331,10 +346,7 @@ int cmd_train(const std::string& out_path,
         std::move(interval_model));
   }
 
-  try {
-    model::save_models_file(out_path, models);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+  if (!saved([&] { model::save_models_file(out_path, models); })) {
     return 66;  // EX_NOINPUT-ish
   }
   std::printf("model bundle (template %zu windows, pairs=%s; muter %s; "
@@ -763,12 +775,17 @@ int cmd_fleet(const std::string& models_path,
   }
   if (alerts_file) {
     alerts_file->flush();
+    if (!*alerts_file) {
+      std::fprintf(stderr, "%s: write failed\n", alerts_out->c_str());
+      return 66;
+    }
     std::printf("alerts -> %s\n", alerts_out->c_str());
   }
   if (metrics_out) {
     fleet.publish_metrics();
     std::ofstream out(*metrics_out, std::ios::out | std::ios::trunc);
     out << telemetry::to_prometheus_text(*config.metrics);
+    out.flush();
     if (!out) {
       std::fprintf(stderr, "%s: cannot write exposition\n",
                    metrics_out->c_str());
@@ -1105,8 +1122,12 @@ int cmd_simulate(const std::string& out_path, std::vector<std::string> args) {
 
   trace::TraceRecorder recorder(bus, "can0");
   bus.run_until(util::from_seconds(seconds));
-  trace::save_trace_file(out_path, recorder.trace(),
-                         trace::TraceFormat::kCandump);
+  if (!saved([&] {
+        trace::save_trace_file(out_path, recorder.trace(),
+                               trace::TraceFormat::kCandump);
+      })) {
+    return 66;
+  }
   std::printf("%zu frames -> %s (bus load %.0f%%)\n", recorder.trace().size(),
               out_path.c_str(), bus.stats().load() * 100.0);
   return 0;
@@ -1187,7 +1208,7 @@ int cmd_campaign_merge(std::vector<std::string> args) {
   const campaign::CampaignReport report =
       campaign::merge_partials(std::move(partials));
   if (!quiet) print_cell_table(report);
-  report.write_all(out_dir);
+  if (!saved([&] { report.write_all(out_dir); })) return 66;
   std::printf("merged %zu partials: %zu trials, %zu cells -> "
               "%s/{trials.csv, cells.csv, roc.csv, report.json}\n",
               args.size() - 1, report.trials.size(), report.cells.size(),
@@ -1359,16 +1380,20 @@ int cmd_campaign(std::vector<std::string> args) {
               static_cast<unsigned long long>(stats.training_passes));
 
   if (save_models) {
-    model::save_models_file(*save_models, runner.models());
+    if (!saved([&] {
+          model::save_models_file(*save_models, runner.models());
+        })) {
+      return 66;
+    }
     std::printf("models -> %s\n", save_models->c_str());
   }
   if (partial) {
-    partial->save_file(*out_dir);
+    if (!saved([&] { partial->save_file(*out_dir); })) return 66;
     std::printf("shard %s (%zu of %zu trials) -> %s\n",
                 partial->shard.to_string().c_str(), partial->rows.size(),
                 partial->spec.trial_count(), out_dir->c_str());
   } else if (out_dir) {
-    report->write_all(*out_dir);
+    if (!saved([&] { report->write_all(*out_dir); })) return 66;
     std::printf("report -> %s/{trials.csv, cells.csv, roc.csv, report.json}\n",
                 out_dir->c_str());
   }

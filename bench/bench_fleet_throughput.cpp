@@ -1,7 +1,7 @@
 // FLEET — aggregate detection throughput of a run_fleet batch replay vs.
 // shard count (16 streams, never fewer than the threads, so run_fleet
 // judges inline on one producer thread per shard), against the
-// single-pipeline sequential baseline. The paper's
+// one-detector-at-a-time sequential baseline. The paper's
 // detector keeps 11 counters per stream, so the per-frame work is tiny and
 // the question is how well the fan-out turns cores into frames/sec.
 //
@@ -22,7 +22,6 @@
 #include "analysis/registry.h"
 #include "engine/fleet_engine.h"
 #include "ids/golden_template.h"
-#include "ids/pipeline.h"
 #include "ids/window.h"
 #include "trace/synthetic_vehicle.h"
 #include "trace/trace_source.h"
@@ -157,24 +156,27 @@ BENCHMARK(BM_Fleet_Lifecycle)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-/// Baseline: the pre-engine model — one pipeline at a time, one thread.
-/// It judges the same blocks the engine does (FleetConfig::drain_batch
-/// TimedIds per on_frames call, built from the frames inside the timed
-/// loop like the engine's fill), so the engine/baseline ratio measures the
-/// engine and not a per-frame vs. batched scoring gap.
+/// Baseline: the pre-engine model — one detector at a time, one thread.
+/// It runs the backend the engine clones (bit-entropy with no ID pool, so
+/// no pair counters) and judges the same blocks the engine does
+/// (FleetConfig::drain_batch TimedIds per on_frames call, built from the
+/// frames inside the timed loop like the engine's fill), so the
+/// engine/baseline ratio measures the engine and not a per-frame vs.
+/// batched scoring gap or a difference in what is counted.
 void BM_Sequential_Baseline(benchmark::State& state) {
-  const auto golden = fleet_template();
+  analysis::DetectorOptions options;
+  options.golden = fleet_template();
   const auto& traffic = fleet_traffic();
   const std::size_t block_size = engine::FleetConfig{}.drain_batch;
 
   std::vector<can::TimedId> block;
   block.reserve(block_size);
-  std::vector<ids::WindowReport> reports;
+  std::vector<analysis::WindowVerdict> verdicts;
   for (auto _ : state) {
     std::uint64_t windows = 0;
     for (int copy = 0; copy < kStreamsPerVehicle; ++copy) {
       for (const auto& trace : traffic) {
-        ids::IdsPipeline pipeline(golden, {}, ids::PipelineConfig{});
+        const auto detector = analysis::make_detector("bit-entropy", options);
         for (std::size_t at = 0; at < trace.size(); at += block_size) {
           const std::size_t end = std::min(trace.size(), at + block_size);
           block.clear();
@@ -182,12 +184,12 @@ void BM_Sequential_Baseline(benchmark::State& state) {
             block.push_back(can::TimedId{trace[i].timestamp,
                                          trace[i].frame.id()});
           }
-          reports.clear();
-          pipeline.on_frames(block.data(), block.size(), reports);
-          benchmark::DoNotOptimize(reports.data());
+          verdicts.clear();
+          detector->on_frames(block.data(), block.size(), verdicts);
+          benchmark::DoNotOptimize(verdicts.data());
         }
-        pipeline.finish();
-        windows += pipeline.counters().windows_closed;
+        (void)detector->finish();
+        windows += detector->counters().windows_closed;
       }
     }
     benchmark::DoNotOptimize(windows);

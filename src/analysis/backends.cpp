@@ -14,13 +14,25 @@ namespace canids::analysis {
 
 // ---- BitEntropyBackend ------------------------------------------------------
 
+namespace {
+
+/// The config one instance runs: without an ID pool nothing reads the pair
+/// counters (verdicts carry no snapshot), so they are not kept.
+[[nodiscard]] ids::PipelineConfig running_config(
+    ids::PipelineConfig config, const std::vector<std::uint32_t>& id_pool) {
+  config.window.track_pairs = config.window.track_pairs && !id_pool.empty();
+  return config;
+}
+
+}  // namespace
+
 BitEntropyBackend::BitEntropyBackend(
     std::shared_ptr<const ids::GoldenTemplate> golden,
     std::vector<std::uint32_t> id_pool, ids::PipelineConfig config)
     : golden_(std::move(golden)),
       id_pool_(std::move(id_pool)),
       config_(config),
-      pipeline_(golden_, id_pool_, config_) {
+      pipeline_(golden_, id_pool_, running_config(config_, id_pool_)) {
   CANIDS_EXPECTS(golden_ != nullptr);
 }
 
@@ -127,11 +139,12 @@ std::optional<WindowVerdict> BitEntropyBackend::finish() {
 
 DetectorInfo BitEntropyBackend::describe() const {
   DetectorInfo info = builtin_info(Builtin::kBitEntropy);
-  if (!config_.window.track_pairs) info.state_growth = "O(1): 11 bit counters";
+  // What this instance counts, not what was requested.
+  const bool pairs = pipeline_.config().window.track_pairs;
+  if (!pairs) info.state_growth = "O(1): 11 bit counters";
   info.supports_inference = pipeline_.inference_enabled();
-  info.state_bytes = config_.window.track_pairs
-                         ? ids::PairCounters::state_bytes()
-                         : ids::BitCounters::state_bytes();
+  info.state_bytes = pairs ? ids::PairCounters::state_bytes()
+                           : ids::BitCounters::state_bytes();
   info.trained = true;
   return info;
 }

@@ -31,7 +31,9 @@ namespace canids::analysis {
 class BitEntropyBackend final : public DetectorBackend {
  public:
   /// `golden` must be non-null. A non-empty `id_pool` enables malicious-ID
-  /// inference on alerting windows.
+  /// inference on alerting windows. Pair counters feed only inference, so
+  /// they run only when `config.window.track_pairs` is set AND the pool is
+  /// non-empty; `config` itself is kept as given for clone_for_stream.
   BitEntropyBackend(std::shared_ptr<const ids::GoldenTemplate> golden,
                     std::vector<std::uint32_t> id_pool,
                     ids::PipelineConfig config = {});
@@ -54,17 +56,12 @@ class BitEntropyBackend final : public DetectorBackend {
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  /// The wrapped pipeline (bit-level detail beyond the verdict model).
-  [[nodiscard]] const ids::IdsPipeline& pipeline() const noexcept {
-    return pipeline_;
-  }
-
  private:
   [[nodiscard]] WindowVerdict verdict_of(const ids::WindowReport& report);
 
   std::shared_ptr<const ids::GoldenTemplate> golden_;
   std::vector<std::uint32_t> id_pool_;
-  ids::PipelineConfig config_;
+  ids::PipelineConfig config_;  ///< as requested; clones derive their own
   ids::IdsPipeline pipeline_;
   ids::PipelineCounters counters_;
   std::vector<ids::WindowReport> report_scratch_;  ///< on_frames buffer

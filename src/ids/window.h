@@ -40,8 +40,11 @@ struct WindowSnapshot {
 struct WindowConfig {
   /// Window length.
   util::TimeNs duration = util::kSecond;
-  /// Track pairwise bit co-occurrence (needed by the multi-ID inference
-  /// extension; costs 55 extra counters, still O(1) in the ID count).
+  /// Track pairwise bit co-occurrence (55 extra counters, still O(1) in the
+  /// ID count). Their one reader is malicious-ID inference
+  /// (InferenceEngine::infer, against the pair means TemplateBuilder
+  /// trains); detection never reads them, so analysis::BitEntropyBackend
+  /// clears this flag when it has no ID pool to infer over.
   bool track_pairs = true;
 };
 

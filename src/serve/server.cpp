@@ -259,7 +259,7 @@ void ServeServer::teardown() {
   }
   close_listener(wake_pipe_[0]);
   close_listener(wake_pipe_[1]);
-  flush_alerts();
+  (void)flush_alerts();
 }
 
 void ServeServer::post_shutdown() noexcept {
@@ -287,9 +287,11 @@ ServeStats ServeServer::stats() const {
   return s;
 }
 
-void ServeServer::flush_alerts() {
+bool ServeServer::flush_alerts() {
   const std::lock_guard<std::mutex> lock(alert_mutex_);
-  if (alerts_out_) alerts_out_->flush();
+  if (!alerts_out_) return true;
+  alerts_out_->flush();
+  return static_cast<bool>(*alerts_out_);
 }
 
 void ServeServer::publish_alert(const engine::FleetAlert& alert) {

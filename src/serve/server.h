@@ -128,8 +128,10 @@ class ServeServer {
 
   [[nodiscard]] ServeStats stats() const;
 
-  /// Flush the alerts-out sink (call after engine.finish()).
-  void flush_alerts();
+  /// Flush the alerts-out sink (call after engine.finish()). False when
+  /// any alert line written to it so far was lost (e.g. a full disk); true
+  /// with no sink.
+  [[nodiscard]] bool flush_alerts();
 
  private:
   struct Connection;

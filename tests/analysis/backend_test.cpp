@@ -11,6 +11,7 @@
 #include "baselines/muter_entropy.h"
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
+#include "ids/window.h"
 #include "model/store.h"
 #include "util/rng.h"
 
@@ -384,6 +385,87 @@ TEST(BitEntropyBackendTest, OnFramesMatchesPerFrameFeeding) {
     EXPECT_EQ(backend->counters().dropped_frames,
               reference->counters().dropped_frames);
     EXPECT_EQ(backend->counters().alerts, reference->counters().alerts);
+  }
+}
+
+/// The world's template with pair means, trained the way `canids train`
+/// trains (pair-tracking windows over clean traffic), so inference has
+/// pair statistics to compare a window against.
+[[nodiscard]] std::shared_ptr<const ids::GoldenTemplate> pair_template(
+    const BackendWorld& world) {
+  ids::TemplateBuilder builder;
+  for (const ids::WindowSnapshot& snap :
+       ids::windows_of(world.make_trace(20, 40), ids::WindowConfig{})) {
+    builder.add_window(snap);
+  }
+  auto golden = std::make_shared<const ids::GoldenTemplate>(builder.build());
+  EXPECT_TRUE(golden->has_pairs());
+  return golden;
+}
+
+TEST(BitEntropyBackendTest, PoolLessBackendSkipsPairsInvisibly) {
+  // Without an ID pool nothing reads the pair counters, so the backend
+  // does not keep them. Its verdicts must equal, field by field, those of
+  // a backend whose pipeline counts pairs (one with a pool).
+  const BackendWorld world;
+  DetectorOptions counted = world.options();
+  counted.golden = pair_template(world);
+  DetectorOptions skipped = counted;
+  skipped.id_pool.clear();
+  const auto with_pairs = make_detector("bit-entropy", counted);
+  const auto without_pairs = make_detector("bit-entropy", skipped);
+  ASSERT_EQ(with_pairs->describe().state_bytes,
+            ids::PairCounters::state_bytes());
+  ASSERT_EQ(without_pairs->describe().state_bytes,
+            ids::BitCounters::state_bytes());
+
+  const auto frames = world.make_trace(21, 8, {2, 3, 6});
+  const auto expected = run_backend_batched(*with_pairs, frames, 256);
+  const auto verdicts = run_backend_batched(*without_pairs, frames, 256);
+  ASSERT_GT(alert_count(expected), 0u) << "fixture must actually alert";
+  ASSERT_EQ(verdicts.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const WindowVerdict& want = expected[i];
+    const WindowVerdict& got = verdicts[i];
+    EXPECT_EQ(got.start, want.start) << i;
+    EXPECT_EQ(got.end, want.end) << i;
+    EXPECT_EQ(got.frames, want.frames) << i;
+    EXPECT_EQ(got.evaluated, want.evaluated) << i;
+    EXPECT_EQ(got.alert, want.alert) << i;
+    EXPECT_EQ(got.metric, want.metric) << i;
+    EXPECT_EQ(got.threshold, want.threshold) << i;
+    ASSERT_EQ(got.detail.has_value(), want.detail.has_value()) << i;
+    if (want.detail) {
+      EXPECT_EQ(got.detail->alerted_bits, want.detail->alerted_bits) << i;
+      EXPECT_TRUE(got.detail->ranked_candidates.empty()) << i;
+    }
+  }
+}
+
+TEST(BitEntropyBackendTest, PoolLessPrototypeClonesCountPairsForAPool) {
+  // The fleet engine stamps streams out of one prototype; a stream opened
+  // with its own pool runs inference and must count pairs even though the
+  // prototype, built without a pool, does not.
+  const BackendWorld world;
+  DetectorOptions options = world.options();
+  options.golden = pair_template(world);
+  const auto pooled = make_detector("bit-entropy", options);
+  options.id_pool.clear();
+  const auto prototype = make_detector("bit-entropy", options);
+  const auto clone = prototype->clone_for_stream(world.pool);
+  EXPECT_FALSE(prototype->describe().supports_inference);
+  EXPECT_TRUE(clone->describe().supports_inference);
+  EXPECT_EQ(clone->describe().state_bytes, ids::PairCounters::state_bytes());
+
+  const auto frames = world.make_trace(22, 8, {2, 5});
+  const auto expected = run_backend_batched(*pooled, frames, 256);
+  const auto verdicts = run_backend_batched(*clone, frames, 256);
+  ASSERT_GT(alert_count(expected), 0u) << "fixture must actually alert";
+  EXPECT_EQ(verdicts, expected);
+  for (const WindowVerdict& verdict : verdicts) {
+    if (verdict.alert) {
+      EXPECT_FALSE(verdict.detail->ranked_candidates.empty());
+    }
   }
 }
 

@@ -53,7 +53,10 @@ TEST(DetectorRegistryTest, TableListsTheFourBuiltinsInOrder) {
 }
 
 TEST(DetectorRegistryTest, DescribeReadsItsTableRow) {
-  const DetectorOptions options = options_with_template();
+  // With an ID pool, bit-entropy runs inference and so counts what its
+  // table row lists: 11 bit and 55 pair counters.
+  DetectorOptions options = options_with_template();
+  options.id_pool = {0x080, 0x120, 0x1C0};
   for (const DetectorEntry& entry : detector_table()) {
     const DetectorInfo info = make_detector(entry.name, options)->describe();
     EXPECT_EQ(info.name, entry.name);
@@ -64,6 +67,16 @@ TEST(DetectorRegistryTest, DescribeReadsItsTableRow) {
       EXPECT_EQ(info.state_growth, entry.state_growth) << entry.name;
     }
   }
+}
+
+TEST(DetectorRegistryTest, PoolLessBitEntropyDescribesBitCountersOnly) {
+  // No pool, no inference, no pair counters: describe() reports what the
+  // instance keeps, not its table row.
+  const DetectorInfo info =
+      make_detector("bit-entropy", options_with_template())->describe();
+  EXPECT_EQ(info.state_growth, "O(1): 11 bit counters");
+  EXPECT_EQ(info.state_bytes, ids::BitCounters::state_bytes());
+  EXPECT_FALSE(info.supports_inference);
 }
 
 TEST(DetectorRegistryTest, RoundTripEveryBuiltin) {

@@ -383,11 +383,13 @@ struct RunningServer {
     thread = std::thread([this] { server->run(); });
   }
 
-  void shutdown_and_join() {
+  /// Stops the daemon the way `canids serve` does; returns whether every
+  /// alert line reached the alerts-out sink.
+  bool shutdown_and_join() {
     server->post_shutdown();
     thread.join();
     engine->finish();
-    server->flush_alerts();
+    return server->flush_alerts();
   }
 
   ~RunningServer() {
@@ -462,7 +464,7 @@ TEST(ServeServerTest, SocketIngestMatchesDirectEngineRun) {
   EXPECT_EQ(streamed, expected);
   ::close(subscriber);
 
-  running.shutdown_and_join();
+  EXPECT_TRUE(running.shutdown_and_join());
 
   // File sink: the same lines, in the same order.
   std::ifstream in(alerts_path);
@@ -476,6 +478,39 @@ TEST(ServeServerTest, SocketIngestMatchesDirectEngineRun) {
   EXPECT_EQ(totals.parse_errors, 1u);
 
   std::filesystem::remove(alerts_path);
+  std::filesystem::remove(config.uds_path);
+}
+
+TEST(ServeServerTest, AlertsOutWriteFailureIsReported) {
+  // A full device accepts the open and fails the writes: every alert line
+  // is lost, and flush_alerts must say so (`canids serve` then exits 66).
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const ServeWorld world;
+  const std::vector<trace::LogRecord> records = world.make_trace(4, 4, {2});
+
+  ServeConfig config;
+  config.uds_path = socket_path("full");
+  config.alerts_out = "/dev/full";
+  RunningServer running(world, config);
+
+  const int data = connect_addr(config.uds_path);
+  send_all(data, "HELLO bus\n");
+  std::string payload;
+  for (const trace::LogRecord& record : records) {
+    payload += trace::to_candump_line(record);
+    payload.push_back('\n');
+  }
+  send_all(data, payload);
+  ::close(data);
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<engine::StreamStatus> status =
+        running.engine->status();
+    if (!status.empty() && status.front().drained) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  EXPECT_FALSE(running.shutdown_and_join());
+  EXPECT_GT(running.engine->totals().alerts, 0u);
   std::filesystem::remove(config.uds_path);
 }
 

@@ -108,13 +108,13 @@ void print_usage(std::FILE* out) {
                "[--calibrate N]\n"
                "  canids fleet <models> <dir-or-capture>... "
                "[--detector NAME] [--shards N] [--producers N] [--alpha A] "
-               "[--window S] [--no-pairs] [--calibrate N] [--quiet] "
+               "[--window S] [--calibrate N] [--quiet] "
                "[--queue-capacity N] [--drain-batch N] [--alerts-out FILE] "
                "[--metrics-out FILE] [--telemetry-sample N]\n"
                "  canids serve <models> [--uds PATH] [--port N [--host H]] "
                "[--control PATH] [--alerts-out FILE] [--events-out FILE] "
                "[--telemetry-sample N] [--detector NAME] "
-               "[--shards N] [--alpha A] [--window S] [--no-pairs] "
+               "[--shards N] [--alpha A] [--window S] "
                "[--calibrate N] [--on-full block|drop-newest] "
                "[--queue-capacity N] [--drain-batch N] [--max-line N] "
                "[--quiet]\n"
@@ -457,7 +457,7 @@ struct DetectionFlags {
 };
 
 /// The detection flags detect, fleet and serve share: --detector, the
-/// windowing pair, --calibrate and --no-pairs. The loaded bundle supplies
+/// windowing pair and --calibrate. The loaded bundle supplies
 /// every pretrained model; a baseline whose model it lacks self-calibrates
 /// on each stream's first windows.
 DetectionFlags parse_detection_flags(std::vector<std::string>& args,
@@ -472,7 +472,6 @@ DetectionFlags parse_detection_flags(std::vector<std::string>& args,
   if (const auto calibrate = arg_integer(args, "--calibrate", 2, 1000000)) {
     options.calibration_windows = static_cast<std::size_t>(*calibrate);
   }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   return flags;
 }
 
@@ -582,6 +581,9 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
   const auto models = load_models(models_path);
   if (!models) return 66;
   auto [detector_name, options] = parse_detection_flags(args, *models);
+  // Only detect builds an ID pool, so only detect counts bit pairs: fleet
+  // and serve streams run without inference and never pay for them.
+  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   // The candidate list can never be longer than the 11-bit ID space.
   if (const auto rank = arg_integer(args, "--rank", 1, 2048)) {
     options.pipeline.inference.rank = static_cast<int>(*rank);
@@ -908,7 +910,9 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   // run() closed every stream; finish() drains the queues (alerts emitted
   // here still reach the sinks) and joins the workers.
   const std::vector<engine::StreamResult> streams = fleet.finish();
-  server.flush_alerts();
+  // A full disk fails the writes, not the opens: report each lost sink
+  // like `fleet --alerts-out` does, after the summary.
+  const bool alerts_written = server.flush_alerts();
   if (events) events->flush();
 
   if (!quiet) {
@@ -934,7 +938,14 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     }
   }
   (void)streams;
-  return 0;
+  if (!alerts_written) {
+    std::fprintf(stderr, "%s: write failed\n",
+                 serve_config.alerts_out.c_str());
+  }
+  if (events && !events->ok()) {
+    std::fprintf(stderr, "%s: write failed\n", events_out->c_str());
+  }
+  return alerts_written && (!events || events->ok()) ? 0 : 66;
 }
 
 int cmd_send(const std::string& trace_path, std::vector<std::string> args) {

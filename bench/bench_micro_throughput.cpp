@@ -1,17 +1,25 @@
 // MICRO — the §V.E "light-weight detection algorithm" claim, measured with
 // google-benchmark: per-frame monitoring cost and per-window decision cost
-// of the bit-slice detector vs both baselines, plus the substrate hot paths
-// (serialization, arbitration) for context.
+// of the bit-slice detector vs both baselines, the cost of naming the
+// injected IDs of one alerted window (§V.C inference), plus the substrate
+// hot paths (serialization, arbitration) for context.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
+#include "attacks/scenario.h"
 #include "baselines/interval_ids.h"
 #include "baselines/muter_entropy.h"
 #include "can/arbitration.h"
 #include "can/bitstream.h"
 #include "ids/bit_counters.h"
 #include "ids/binary_entropy.h"
+#include "ids/inference.h"
+#include "ids/pipeline.h"
+#include "metrics/experiment.h"
 #include "trace/synthetic_vehicle.h"
 
 using namespace canids;
@@ -169,6 +177,58 @@ void BM_BinaryEntropy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinaryEntropy);
+
+/// The paper-trained template (pairs on), the vehicle's ID pool, and the
+/// first alerted window inside a 100 Hz three-ID injection on the
+/// simulated bus; built once, like capture().
+struct InferenceCase {
+  std::shared_ptr<const ids::GoldenTemplate> golden;
+  std::vector<std::uint32_t> id_pool;
+  std::optional<ids::WindowSnapshot> alerted;
+};
+
+const InferenceCase& multi3_case() {
+  static const InferenceCase c = [] {
+    metrics::ExperimentRunner runner;
+    InferenceCase made{runner.train_shared(), runner.vehicle().id_pool(), {}};
+    const trace::SyntheticVehicle& vehicle = runner.vehicle();
+    can::BusSimulator bus(vehicle.config().bus);
+    vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 17);
+    attacks::AttackConfig config;
+    config.frequency_hz = 100.0;
+    config.start = 2 * util::kSecond;
+    config.stop = 6 * util::kSecond;
+    auto attack = attacks::make_scenario(attacks::ScenarioKind::kMulti3,
+                                         vehicle, config, util::Rng(18));
+    attacks::attach_attack(bus, attack);
+    ids::IdsPipeline pipeline(made.golden, {}, ids::PipelineConfig{});
+    bus.add_listener([&](const can::TimedFrame& frame) {
+      auto report = pipeline.on_frame(frame.timestamp, frame.frame.id());
+      if (!made.alerted && report && report->detection.alert &&
+          report->snapshot.start >= config.start) {
+        made.alerted = std::move(report->snapshot);
+      }
+    });
+    bus.run_until(config.stop);
+    return made;
+  }();
+  return c;
+}
+
+void BM_Inference_Multi3(benchmark::State& state) {
+  const InferenceCase& c = multi3_case();
+  if (!c.alerted) {
+    state.SkipWithError("no alerted multi3 window");
+    return;
+  }
+  const ids::InferenceEngine engine(c.golden, c.id_pool);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.infer(*c.alerted));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pool_ids"] = static_cast<double>(c.id_pool.size());
+}
+BENCHMARK(BM_Inference_Multi3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

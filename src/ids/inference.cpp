@@ -33,6 +33,8 @@ static_assert(kSearchPool >= kMaxSet);
 /// How many of the best hypotheses per set size feed the marginal-evidence
 /// ranking.
 constexpr std::size_t kSetsPerSizeRanked = 12;
+/// A residual bound no fit reaches: sum the residual in full.
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
 /// Upper bound for the injected-traffic fraction lambda.
 constexpr double kLambdaMax = 0.75;
 /// Complexity penalty added per extra injected ID when estimating the set
@@ -47,7 +49,17 @@ struct Hypothesis {
   std::array<double, kMaxSet> weights{};  // fitted per-ID traffic fractions
   double residual = 0.0;
   double lambda = 0.0;
+  /// Order in which the search generated it: breaks residual ties the way
+  /// a stable sort of every child would.
+  std::size_t arrival = 0;
 };
+
+/// Strict (residual, arrival) order: the earlier of two equal fits wins.
+[[nodiscard]] bool fits_better(const Hypothesis& a,
+                               const Hypothesis& b) noexcept {
+  if (a.residual != b.residual) return a.residual < b.residual;
+  return a.arrival < b.arrival;
+}
 
 /// Sum of a[i] * b[i] over the first `dims` entries, in index order.
 [[nodiscard]] double dot(const double* a, const double* b,
@@ -199,7 +211,10 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // non-negative least squares via active-set elimination (k <= 4). The
   // normal equations read their dot products from caches filled once per
   // call; a product is the same double whichever order it is taken in.
-  auto fit = [&](const FitInput& in) {
+  // The residual stops summing once it reaches `bound`: every addend is
+  // >= 0, so the full sum could only be larger, and the caller drops a fit
+  // that does not beat `bound`.
+  auto fit = [&](const FitInput& in, double bound) {
     const std::size_t k = in.k;
     std::array<bool, kMaxSet> active{};
     std::fill_n(active.begin(), k, true);
@@ -270,6 +285,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
       total = kLambdaMax;
     }
 
+    out.lambda = total;
     double residual = 0.0;
     for (std::size_t b = 0; b < dims; ++b) {
       double predicted = 0.0;
@@ -278,13 +294,13 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
       }
       const double r = delta[b] - predicted;
       residual += r * r;
+      if (residual >= bound) break;
     }
     // Members fitted to ~zero weight contribute nothing but still occupy a
     // set slot; penalise them so leaner sets win ties.
     for (std::size_t j = 0; j < k; ++j) {
       if (w[j] < 1e-4) residual += kSizePenalty;
     }
-    out.lambda = total;
     out.residual = residual;
     return out;
   };
@@ -313,7 +329,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     in.patterns[0] = patterns_[n].data();
     in.gram[0][0] = pattern_norm[n];
     in.rhs[0] = pattern_delta[n];
-    singles.emplace_back(fit(in).residual, n);
+    singles.emplace_back(fit(in, kNoBound).residual, n);
   }
   std::stable_sort(singles.begin(), singles.end());
 
@@ -352,10 +368,20 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   }
 
   // ---- Beam search over set sizes -------------------------------------------
+  // Each set size keeps the kBeamWidth children that fit best by
+  // (residual, arrival), exactly what a stable sort of all of them would
+  // keep, in a max-heap with the worst kept child on top; no set size
+  // materialises its children. A child stops fitting once its residual
+  // reaches the worst one kept, and a tie goes to the earlier arrival.
   std::vector<Hypothesis> beam;
+  std::vector<Hypothesis> next;  // max-heap under fits_better
+  beam.reserve(kBeamWidth);
+  next.reserve(kBeamWidth);
   std::vector<Hypothesis> best_per_size;  // best hypothesis of each size
   std::vector<Hypothesis> top_sets;       // several best per size
-  auto fit_hypothesis = [&](Hypothesis& h) {
+  std::size_t arrivals = 0;
+  auto offer = [&](Hypothesis& h) {
+    const bool full = next.size() == kBeamWidth;
     FitInput in;
     in.k = h.size;
     for (std::size_t r = 0; r < h.size; ++r) {
@@ -366,10 +392,30 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
         in.gram[r][c] = gram[h.members[r] * pool_span + h.members[c]];
       }
     }
-    const FitOutput out = fit(in);
+    const FitOutput out = fit(in, full ? next.front().residual : kNoBound);
+    if (full) {
+      if (!(out.residual < next.front().residual)) return;
+      std::pop_heap(next.begin(), next.end(), fits_better);
+      next.pop_back();
+    }
     h.weights = out.weights;
     h.lambda = out.lambda;
     h.residual = out.residual;
+    h.arrival = arrivals++;
+    next.push_back(h);
+    std::push_heap(next.begin(), next.end(), fits_better);
+  };
+  // Close one set size: `next`, best first, becomes the beam, and its head
+  // feeds the set-size choice and the ranking.
+  auto close_level = [&] {
+    std::sort_heap(next.begin(), next.end(), fits_better);
+    std::swap(beam, next);
+    next.clear();
+    if (beam.empty()) return;
+    best_per_size.push_back(beam.front());
+    const auto take = std::min(beam.size(), kSetsPerSizeRanked);
+    top_sets.insert(top_sets.end(), beam.begin(),
+                    beam.begin() + static_cast<std::ptrdiff_t>(take));
   };
   auto id_at = [&](const Hypothesis& h, std::size_t j) {
     return id_pool_[search_pool[h.members[j]]];
@@ -379,40 +425,19 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     Hypothesis h;
     h.members[0] = pi;
     h.size = 1;
-    fit_hypothesis(h);
-    beam.push_back(h);
+    offer(h);
   }
-  auto shrink_beam = [&](std::vector<Hypothesis>& hs) {
-    std::stable_sort(hs.begin(), hs.end(),
-                     [](const Hypothesis& a, const Hypothesis& b) {
-                       return a.residual < b.residual;
-                     });
-    if (hs.size() > kBeamWidth) hs.resize(kBeamWidth);
-  };
-  auto harvest = [&](const std::vector<Hypothesis>& hs) {
-    if (hs.empty()) return;
-    best_per_size.push_back(hs.front());
-    const auto take = std::min(hs.size(), kSetsPerSizeRanked);
-    top_sets.insert(top_sets.end(), hs.begin(),
-                    hs.begin() + static_cast<std::ptrdiff_t>(take));
-  };
-  shrink_beam(beam);
-  harvest(beam);
+  close_level();
 
-  std::vector<Hypothesis> next;
   for (std::size_t k = 2; k <= kMaxSet && !beam.empty(); ++k) {
-    next.clear();
     for (const Hypothesis& h : beam) {
       for (std::size_t pi = h.members[h.size - 1] + 1; pi < pool_span; ++pi) {
         Hypothesis grown = h;
         grown.members[grown.size++] = pi;
-        fit_hypothesis(grown);
-        next.push_back(grown);
+        offer(grown);
       }
     }
-    shrink_beam(next);
-    std::swap(beam, next);
-    harvest(beam);
+    close_level();
   }
 
   // ---- Choose the set size by penalised residual ----------------------------

@@ -47,7 +47,9 @@ class TrialScorer {
  public:
   /// `infer`: score ID inference on alerting windows fully inside the
   /// attack (the paper's inference events; boundary windows carry only a
-  /// partial injection signature).
+  /// partial injection signature). Set only for a backend that infers,
+  /// which in a trial means one given the ID pool: attack trials of an
+  /// inferable scenario, never capture trials.
   TrialScorer(InstrumentedTrial& trial, analysis::DetectorBackend& backend,
               bool infer)
       : trial_(trial), backend_(backend), infer_(infer) {}
@@ -308,10 +310,9 @@ InstrumentedTrial ExperimentRunner::run_attack(std::string_view backend_name,
   const int attacker_index = attached.index;
 
   const std::unique_ptr<analysis::DetectorBackend> backend =
-      make_backend(backend_name);
+      make_trial_backend(backend_name, attack.kind);
   TrialScorer scorer(result, *backend,
-                     attacks::scenario_inferable(attack.kind) &&
-                         backend->describe().supports_inference);
+                     backend->describe().supports_inference);
   bus.add_listener([&](const can::TimedFrame& frame) {
     scorer.on_frame(frame.timestamp, frame.frame.id(),
                     frame.source_node == attacker_index);
@@ -346,10 +347,10 @@ InstrumentedTrial ExperimentRunner::run_capture_trial(
     }
   }
 
-  const std::unique_ptr<analysis::DetectorBackend> backend =
-      make_backend(backend_name);
   // Recorded traffic carries no planned IDs, so there is no inference to
-  // score.
+  // score and the backend needs no id pool.
+  const std::unique_ptr<analysis::DetectorBackend> backend =
+      build_backend(backend_name, /*pooled=*/false);
   TrialScorer scorer(result, *backend, /*infer=*/false);
 
   // A frame counts as injected when it falls inside a labeled attack
@@ -434,11 +435,22 @@ ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
 
 std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::make_backend(
     std::string_view name) {
+  return build_backend(name, /*pooled=*/true);
+}
+
+std::unique_ptr<analysis::DetectorBackend>
+ExperimentRunner::make_trial_backend(std::string_view name,
+                                     attacks::ScenarioKind kind) {
+  return build_backend(name, attacks::scenario_inferable(kind));
+}
+
+std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::build_backend(
+    std::string_view name, bool pooled) {
   // Train only the models the named backend can use.
   analysis::DetectorOptions options;
   options.pipeline = config_.pipeline;
   options.golden = train_shared();
-  options.id_pool = vehicle_.id_pool();
+  if (pooled) options.id_pool = vehicle_.id_pool();
   options.muter = config_.muter;
   options.interval = config_.interval;
   const BackendModelNeeds needs = backend_model_needs(name);

@@ -229,16 +229,26 @@ class ExperimentRunner {
 
   /// A detector-table backend wired with this runner's golden template, the
   /// vehicle's id pool, the pipeline config, and the baseline models the
-  /// name needs (trained on first use).
+  /// name needs (trained on first use). Always pooled, so an inferring
+  /// backend infers on every alert; trials build theirs with
+  /// make_trial_backend instead.
   [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_backend(
       std::string_view name);
+
+  /// The backend an attack trial of `kind` drives: as make_backend, but
+  /// given the id pool only when the scenario is inferable, the one case
+  /// in which the trial's score reads inference. A pool-less backend judges
+  /// every window the same, counting no bit pairs and inferring nothing.
+  [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_trial_backend(
+      std::string_view name, attacks::ScenarioKind kind);
 
   // ---- trials ---------------------------------------------------------------
 
   /// Run one attack trial through any detector backend: the vehicle
   /// drives clean for `clean_lead_in`, then the attacker runs for
   /// `attack_duration`. `trial_seed` individualises the run; the driving
-  /// behaviour is rotated from it.
+  /// behaviour is rotated from it. The backend comes from
+  /// make_trial_backend, so only inferable scenarios infer.
   [[nodiscard]] InstrumentedTrial run_instrumented_trial(
       std::string_view backend, attacks::ScenarioKind kind,
       double frequency_hz, std::uint64_t trial_seed);
@@ -259,7 +269,8 @@ class ExperimentRunner {
   /// inside one (an attribution proxy — recorded traffic has no per-frame
   /// attacker tag). Injection-rate and bus-load fields stay 0; ROC
   /// observations and detection latency work exactly as in synthetic
-  /// trials.
+  /// trials. Recorded traffic has no planned IDs to score inference
+  /// against, so the backend gets no id pool.
   [[nodiscard]] InstrumentedTrial run_capture_trial(
       std::string_view backend, trace::TraceSource& source,
       const std::vector<trace::LabelInterval>& attacks,
@@ -272,6 +283,9 @@ class ExperimentRunner {
                                              attacks::BuiltAttack attack,
                                              double frequency_hz,
                                              std::uint64_t trial_seed);
+  /// make_backend, with the vehicle's id pool only when `pooled`.
+  [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> build_backend(
+      std::string_view name, bool pooled);
 
   ExperimentConfig config_;
   trace::SyntheticVehicle vehicle_;

@@ -454,6 +454,71 @@ TEST(CampaignRunnerTest, ExtendedScenarioReportIsWorkerCountInvariant) {
   EXPECT_EQ(report_bytes(one.run()), report_bytes(six.run()));
 }
 
+/// FNV-1a over the bytes of `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (unsigned char byte : text) {
+    hash ^= byte;
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// The exact bytes of a campaign over every scenario, for the two backends
+// that infer. Speeding a trial up (which backend gets the ID pool, how
+// inference searches) must leave both digests as they are.
+TEST(CampaignRunnerTest, InferringBackendsMatchPinnedReportDigests) {
+  CampaignSpec spec;
+  spec.name = "pinned";
+  spec.detectors = {"bit-entropy", "ensemble"};
+  spec.scenarios = {attacks::kAllScenarios.begin(),
+                    attacks::kAllScenarios.end()};
+  spec.rates_hz = {100.0};
+  spec.seeds = 1;
+  spec.experiment.training_windows = 8;
+  spec.experiment.clean_lead_in = 2 * util::kSecond;
+  spec.experiment.attack_duration = 4 * util::kSecond;
+  spec.workers = 2;
+
+  CampaignRunner runner(spec);
+  const CampaignReport report = runner.run();
+  std::ostringstream json;
+  report.write_json(json);
+  std::ostringstream trials;
+  report.write_trials_csv(trials);
+  EXPECT_EQ(fnv1a(json.str()), 0xF8CEC1828B07A21EULL)
+      << "report.json: 0x" << std::hex << std::uppercase << fnv1a(json.str())
+      << "ULL";
+  EXPECT_EQ(fnv1a(trials.str()), 0x4482C0DD9C22EF6AULL)
+      << "trials.csv: 0x" << std::hex << std::uppercase
+      << fnv1a(trials.str()) << "ULL";
+}
+
+// A trial's backend gets the ID pool only when its score reads inference:
+// a flood trial's bit-entropy counts no pairs and infers nothing.
+TEST(CampaignRunnerTest, OnlyInferableTrialsGetTheIdPool) {
+  metrics::ExperimentRunner runner(quick_spec().experiment);
+  const analysis::DetectorInfo flood =
+      runner.make_trial_backend("bit-entropy", attacks::ScenarioKind::kFlood)
+          ->describe();
+  EXPECT_FALSE(flood.supports_inference);
+  EXPECT_EQ(flood.state_growth, "O(1): 11 bit counters");
+  EXPECT_FALSE(
+      runner.make_trial_backend("ensemble", attacks::ScenarioKind::kFlood)
+          ->describe()
+          .supports_inference);
+  for (const char* name : {"bit-entropy", "ensemble"}) {
+    EXPECT_TRUE(
+        runner.make_trial_backend(name, attacks::ScenarioKind::kMulti3)
+            ->describe()
+            .supports_inference)
+        << name;
+    // The public make_backend stays pooled whatever it is used for.
+    EXPECT_TRUE(runner.make_backend(name)->describe().supports_inference)
+        << name;
+  }
+}
+
 TEST(CampaignRunnerTest, RejectsUnknownDetectors) {
   CampaignSpec spec = quick_spec();
   spec.detectors = {"no-such-detector"};

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "attacks/scenario.h"
+#include "can/bus.h"
 #include "ids/bit_counters.h"
+#include "ids/pipeline.h"
+#include "metrics/experiment.h"
 #include "util/rng.h"
 
 namespace canids::ids {
@@ -435,6 +440,101 @@ TEST(InferenceRegressionTest, ResultsEqualRecordedValuesExactly) {
     EXPECT_TRUE(result == expected[i])
         << "case " << i << " got:\n" << to_literal(result);
   }
+}
+
+// ---- Pinned digest over simulated traffic -----------------------------------
+// Every field of every result over alerted windows of real bus traffic,
+// against the vehicle's full ID pool with pair statistics on. The search
+// may change how it finds its beam (streamed, bounded, pruned), but not
+// one bit of what it returns.
+
+/// FNV-1a over the little-endian bytes of `value`'s low `bytes` bytes.
+void fnv1a(std::uint64_t& hash, std::uint64_t value, int bytes = 8) {
+  for (int i = 0; i < bytes; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFFu;
+    hash *= 0x100000001B3ULL;
+  }
+}
+
+void fnv1a(std::uint64_t& hash, double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  fnv1a(hash, bits);
+}
+
+void fnv1a(std::uint64_t& hash, const std::vector<std::uint32_t>& ids) {
+  fnv1a(hash, static_cast<std::uint64_t>(ids.size()));
+  for (std::uint32_t id : ids) fnv1a(hash, id, 4);
+}
+
+void fnv1a(std::uint64_t& hash, const InferenceResult& r) {
+  fnv1a(hash, static_cast<std::uint64_t>(r.constraints.size()));
+  for (const BitConstraint& c : r.constraints) {
+    fnv1a(hash, static_cast<std::uint64_t>(c.bit), 1);
+    fnv1a(hash, c.injected_bit ? 1u : 0u, 1);
+    fnv1a(hash, c.shift);
+  }
+  fnv1a(hash, r.ranked_candidates);
+  fnv1a(hash, r.best_set);
+  fnv1a(hash, r.estimated_injection_fraction);
+  fnv1a(hash, static_cast<std::uint64_t>(r.estimated_num_ids), 4);
+  fnv1a(hash, r.fit_residual);
+}
+
+/// Alerted windows lying inside the attack of a seeded 7 s drive with
+/// `kind` injected at `hz` from t = 2 s, counted with pair statistics.
+std::vector<WindowSnapshot> alerted_windows(
+    metrics::ExperimentRunner& runner, attacks::ScenarioKind kind, double hz,
+    std::uint64_t seed) {
+  const trace::SyntheticVehicle& vehicle = runner.vehicle();
+  can::BusSimulator bus(vehicle.config().bus);
+  vehicle.attach_to(bus, trace::DrivingBehavior::kCity, seed);
+  attacks::AttackConfig config;
+  config.frequency_hz = hz;
+  config.start = 2 * util::kSecond;
+  config.stop = 7 * util::kSecond;
+  auto attack =
+      attacks::make_scenario(kind, vehicle, config, util::Rng(seed + 1));
+  attacks::attach_attack(bus, attack);
+
+  IdsPipeline pipeline(runner.train_shared(), {}, PipelineConfig{});
+  std::vector<WindowSnapshot> alerted;
+  bus.add_listener([&](const can::TimedFrame& frame) {
+    const auto report = pipeline.on_frame(frame.timestamp, frame.frame.id());
+    if (report && report->detection.alert &&
+        report->snapshot.start >= config.start &&
+        report->snapshot.end <= config.stop) {
+      alerted.push_back(report->snapshot);
+    }
+  });
+  bus.run_until(config.stop);
+  return alerted;
+}
+
+TEST(InferenceRegressionTest, SimulatedAlertsMatchPinnedDigest) {
+  metrics::ExperimentRunner runner;
+  const InferenceEngine engine(runner.train_shared(),
+                               runner.vehicle().id_pool());
+  ASSERT_EQ(engine.id_pool().size(), 223u);
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  std::size_t windows = 0;
+  for (attacks::ScenarioKind kind :
+       {attacks::ScenarioKind::kSingle, attacks::ScenarioKind::kMulti3,
+        attacks::ScenarioKind::kMulti4, attacks::ScenarioKind::kFlood}) {
+    for (double hz : {100.0, 50.0, 20.0}) {
+      for (std::uint64_t seed : {31u, 32u, 33u}) {
+        for (const WindowSnapshot& window :
+             alerted_windows(runner, kind, hz, seed)) {
+          ASSERT_TRUE(window.has_pairs());
+          fnv1a(hash, engine.infer(window));
+          ++windows;
+        }
+      }
+    }
+  }
+  EXPECT_GE(windows, 90u);
+  EXPECT_EQ(hash, 0x72472727307D06D7ULL) << windows << " windows: 0x" << std::hex
+                          << std::uppercase << hash << "ULL";
 }
 
 }  // namespace

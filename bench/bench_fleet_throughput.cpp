@@ -32,7 +32,9 @@ namespace {
 
 constexpr int kVehicles = 8;
 constexpr int kStreamsPerVehicle = 2;  // 16 streams total
-constexpr util::TimeNs kDriveSeconds = 4 * util::kSecond;
+/// Long enough that one BM_Fleet_Throughput iteration (about 850k frames)
+/// dwarfs the engine's fixed cost that BM_Fleet_Lifecycle times.
+constexpr util::TimeNs kDriveSeconds = 60 * util::kSecond;
 
 /// One captured drive per simulated vehicle, shared across benchmarks.
 const std::vector<std::vector<can::TimedFrame>>& fleet_traffic() {

@@ -2,7 +2,8 @@
 // google-benchmark: per-frame monitoring cost and per-window decision cost
 // of the bit-slice detector vs both baselines, the cost of naming the
 // injected IDs of one alerted window (§V.C inference), plus the substrate
-// hot paths (serialization, arbitration) for context.
+// hot paths (serialization, wire timing, arbitration, one simulated second
+// of the bus) for context.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -15,6 +16,7 @@
 #include "baselines/muter_entropy.h"
 #include "can/arbitration.h"
 #include "can/bitstream.h"
+#include "can/bus.h"
 #include "ids/bit_counters.h"
 #include "ids/binary_entropy.h"
 #include "ids/inference.h"
@@ -154,6 +156,40 @@ void BM_Substrate_SerializeFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Substrate_SerializeFrame);
+
+void BM_Substrate_WireBitLength(benchmark::State& state) {
+  const trace::Trace& trace = capture();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(can::wire_bit_length(trace[i].frame));
+    i = (i + 1) % trace.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Substrate_WireBitLength);
+
+/// One simulated second of the 223-ID vehicle under a 100 Hz single-ID
+/// injection, bus construction included: the simulator stage of a campaign
+/// trial. Items are frames delivered on the bus.
+void BM_Substrate_SimulatedSecond(benchmark::State& state) {
+  const trace::SyntheticVehicle vehicle;
+  std::uint64_t frames = 0;
+  for (auto _ : state) {
+    can::BusSimulator bus(vehicle.config().bus);
+    vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 17);
+    attacks::AttackConfig config;
+    config.frequency_hz = 100.0;
+    auto attack = attacks::make_scenario(attacks::ScenarioKind::kSingle,
+                                         vehicle, config, util::Rng(18));
+    attacks::attach_attack(bus, attack);
+    bus.run_until(util::kSecond);
+    frames += bus.stats().frames_transmitted;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames));
+  state.counters["frames"] = benchmark::Counter(
+      static_cast<double>(frames), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Substrate_SimulatedSecond)->Unit(benchmark::kMicrosecond);
 
 void BM_Substrate_Arbitrate8(benchmark::State& state) {
   const trace::Trace& trace = capture();

@@ -1,7 +1,6 @@
 #include "can/bitstream.h"
 
-#include <algorithm>
-#include <bit>
+#include <array>
 #include <stdexcept>
 
 #include "can/crc15.h"
@@ -47,20 +46,50 @@ struct StuffRegion {
     return ((words[i / 64] >> (63 - i % 64)) & 1u) != 0;
   }
 
-  /// Length of the run of bits equal to `value` starting at `pos`,
-  /// stopping at the region end.
-  [[nodiscard]] int run_from(int pos, bool value) const noexcept {
-    const std::uint64_t flip = value ? ~std::uint64_t{0} : 0;
-    for (int w = pos / 64; w < 2; ++w) {
-      std::uint64_t differs = words[w] ^ flip;
-      if (w == pos / 64) differs &= ~std::uint64_t{0} >> (pos % 64);
-      if (differs != 0) {
-        return std::min(64 * w + std::countl_zero(differs), size) - pos;
-      }
-    }
-    return size - pos;
+  /// Whole byte `k` of the region, MSB-first; 0 <= k < 15.
+  [[nodiscard]] std::uint8_t byte(int k) const noexcept {
+    return static_cast<std::uint8_t>(words[k / 8] >> (56 - 8 * (k % 8)));
   }
 };
+
+/// stuff()'s rule as a state machine. A state is 5 * run_bit + run: `run`
+/// (0..4) identical bits of value `run_bit` end the bits seen so far. The
+/// bit that completes a run of five is followed by a complementary stuff
+/// bit, which starts a run of its own.
+struct StuffStep {
+  int state = 0;
+  int stuff_bits = 0;
+};
+
+constexpr int kStuffStates = 10;
+/// stuff() starts with no run (a recessive run of length 0).
+constexpr int kStuffStart = 5;
+
+constexpr StuffStep stuff_step(int state, bool bit) noexcept {
+  const bool run_bit = state >= 5;
+  const int run = state % 5;
+  const int next_run = (run > 0 && bit == run_bit) ? run + 1 : 1;
+  if (next_run == 5) return {5 * static_cast<int>(!bit) + 1, 1};
+  return {5 * static_cast<int>(bit) + next_run, 0};
+}
+
+/// kStuffTable[state * 256 + byte]: the low nibble is the state after the
+/// byte's eight bits (MSB first), the high nibble the stuff bits they add.
+constexpr std::array<std::uint8_t, kStuffStates * 256> kStuffTable = [] {
+  std::array<std::uint8_t, kStuffStates * 256> table{};
+  for (int state = 0; state < kStuffStates; ++state) {
+    for (int byte = 0; byte < 256; ++byte) {
+      StuffStep walk{state, 0};
+      for (int b = 7; b >= 0; --b) {
+        const StuffStep step = stuff_step(walk.state, ((byte >> b) & 1) != 0);
+        walk = {step.state, walk.stuff_bits + step.stuff_bits};
+      }
+      table[static_cast<std::size_t>(state * 256 + byte)] =
+          static_cast<std::uint8_t>(walk.stuff_bits << 4 | walk.state);
+    }
+  }
+  return table;
+}();
 
 StuffRegion encode_stuff_region(const Frame& frame) noexcept {
   StuffRegion region;
@@ -92,8 +121,7 @@ StuffRegion encode_stuff_region(const Frame& frame) noexcept {
   Crc15 crc;
   const int whole_bytes = region.size / 8;
   for (int k = 0; k < whole_bytes; ++k) {
-    crc.push_byte(static_cast<std::uint8_t>(region.words[k / 8] >>
-                                            (56 - 8 * (k % 8))));
+    crc.push_byte(region.byte(k));
   }
   for (int i = 8 * whole_bytes; i < region.size; ++i) {
     crc.push_bit(region.bit(i));
@@ -231,29 +259,20 @@ BitString destuff(const BitString& stuffed,
 
 std::size_t wire_bit_length(const Frame& frame) noexcept {
   const StuffRegion region = encode_stuff_region(frame);
-  // Walk the region run by run with stuff()'s rule: the fifth identical bit
-  // is followed by a complementary stuff bit, which starts a run of its own.
+  // Whole bytes by table, then the last bits one by one.
+  int state = kStuffStart;
   int stuff_bits = 0;
-  bool run_bit = kRecessive;
-  int run = 0;
-  int pos = 0;
-  while (pos < region.size) {
-    const bool bit = region.bit(pos);
-    if (bit != run_bit) {
-      run_bit = bit;
-      run = 0;
-    }
-    const int same = region.run_from(pos, bit);
-    const int to_stuff = 5 - run;
-    if (same >= to_stuff) {
-      pos += to_stuff;
-      ++stuff_bits;
-      run_bit = !run_bit;
-      run = 1;
-    } else {
-      pos += same;
-      run += same;
-    }
+  const int whole_bytes = region.size / 8;
+  for (int k = 0; k < whole_bytes; ++k) {
+    const std::uint8_t entry =
+        kStuffTable[static_cast<std::size_t>(state * 256 + region.byte(k))];
+    state = entry & 0x0F;
+    stuff_bits += entry >> 4;
+  }
+  for (int i = 8 * whole_bytes; i < region.size; ++i) {
+    const StuffStep step = stuff_step(state, region.bit(i));
+    state = step.state;
+    stuff_bits += step.stuff_bits;
   }
   return static_cast<std::size_t>(region.size + stuff_bits + kTailBits);
 }

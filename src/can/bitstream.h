@@ -2,10 +2,11 @@
 // including CRC computation and bit stuffing.
 //
 // One encoder packs a frame's stuff region (SOF..CRC) into two 64-bit
-// words. The bus simulator times frames from it with wire_bit_length(), one
-// allocation-free pass over packed runs; serialize() expands the same
-// encoding into BitStrings and stuffs them bit by bit, the reference view
-// for FIG1 and the tests.
+// words. The bus simulator times frames from it with wire_bit_length(),
+// which counts stuff bits a byte at a time through a compile-time table
+// over (run state, byte) built from stuff()'s rule; serialize() expands the
+// same encoding into BitStrings and stuffs them bit by bit, the reference
+// view for FIG1 and the tests.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,8 @@ struct SerializedFrame {
                                 std::size_t stuffable_bits_expected);
 
 /// Number of on-wire bits of the frame including stuff bits (SOF..EOF),
-/// computed in one allocation-free pass over the packed encoding; equal to
-/// serialize(frame).stuffed.size().
+/// computed from the packed encoding a byte at a time with no allocation;
+/// equal to serialize(frame).stuffed.size().
 [[nodiscard]] std::size_t wire_bit_length(const Frame& frame) noexcept;
 
 /// Worst-case (maximum) wire length for a frame with `dlc` data bytes in the

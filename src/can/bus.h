@@ -1,13 +1,15 @@
 // Discrete-event CAN bus simulator.
 //
 // The simulator advances a nanosecond clock. Whenever the bus is idle it
-// gathers every enabled node with a pending frame, runs bitwise arbitration
-// (arbitration.h), lets the winner transmit for exactly the frame's on-wire
-// length (bitstream.h's wire_bit_length(), computed on packed words),
-// delivers the frame to every listener, and applies the interframe space
-// before the next round. Losers retry after the configured back-off,
-// reproducing CAN's priority inversion — the physical mechanism behind the
-// paper's injection-rate curve (Fig. 3).
+// lets every enabled node produce what is due (a node with nothing due
+// returns at once), gathers the nodes with a pending frame, runs bitwise
+// arbitration (arbitration.h), lets the winner transmit for exactly the
+// frame's on-wire length (bitstream.h's wire_bit_length(): stuff bits
+// counted a byte at a time by table), delivers the frame to every listener,
+// and applies the interframe space before the next round. With no
+// contender it jumps to the earliest production or retry time. Losers retry
+// after the configured back-off, reproducing CAN's priority inversion — the
+// physical mechanism behind the paper's injection-rate curve (Fig. 3).
 #pragma once
 
 #include <functional>
@@ -78,7 +80,9 @@ class BusSimulator {
   void add_listener(std::function<void(const TimedFrame&)> listener);
 
   /// Advance the simulation until the clock reaches `end`. May be called
-  /// repeatedly; time is monotone across calls.
+  /// repeatedly; time is monotone across calls. A frame in flight at `end`
+  /// completes, so now() may pass `end`; the next call's `end` must not be
+  /// earlier than now().
   void run_until(util::TimeNs end);
 
   [[nodiscard]] const BusConfig& config() const noexcept { return config_; }

@@ -60,10 +60,13 @@ PeriodicSender::PeriodicSender(std::string name,
     for (auto& byte : schedule_[i].sensor_state) {
       byte = static_cast<std::uint8_t>(rng_.below(256));
     }
+    earliest_due_ = std::min(earliest_due_, schedule_[i].next_due);
   }
 }
 
 void PeriodicSender::produce(util::TimeNs now) {
+  if (now < earliest_due_) return;
+  util::TimeNs earliest = util::kNever;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     ScheduleEntry& entry = schedule_[i];
     while (entry.next_due <= now) {
@@ -80,15 +83,13 @@ void PeriodicSender::produce(util::TimeNs now) {
       }
       entry.next_due += step;
     }
+    earliest = std::min(earliest, entry.next_due);
   }
+  earliest_due_ = earliest;
 }
 
 util::TimeNs PeriodicSender::next_production_time() const {
-  util::TimeNs earliest = util::kNever;
-  for (const ScheduleEntry& entry : schedule_) {
-    earliest = std::min(earliest, entry.next_due);
-  }
-  return earliest;
+  return earliest_due_;
 }
 
 void PeriodicSender::scale_periods(double factor) {

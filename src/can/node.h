@@ -157,6 +157,9 @@ class PeriodicSender : public Node {
 
   std::vector<MessageSpec> specs_;
   std::vector<ScheduleEntry> schedule_;
+  /// The smallest next_due in schedule_: produce() before it has nothing
+  /// to enqueue and returns at once.
+  util::TimeNs earliest_due_ = util::kNever;
   util::Rng rng_;
 };
 

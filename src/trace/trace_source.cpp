@@ -112,8 +112,11 @@ BusStreamSource::BusStreamSource(can::BusSimulator& bus, util::TimeNs duration,
 
 std::optional<can::TimedFrame> BusStreamSource::next() {
   while (buffer_->empty() && simulated_ < end_) {
-    simulated_ = std::min<util::TimeNs>(simulated_ + chunk_, end_);
-    bus_.run_until(simulated_);
+    // A frame that ends past the last chunk leaves the bus clock ahead of
+    // it; the next chunk starts from that clock, never behind it.
+    simulated_ = std::min<util::TimeNs>(
+        std::max(simulated_, bus_.now()) + chunk_, end_);
+    if (simulated_ > bus_.now()) bus_.run_until(simulated_);
   }
   if (buffer_->empty()) return std::nullopt;
   can::TimedFrame frame = buffer_->front();

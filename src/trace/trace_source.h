@@ -90,11 +90,12 @@ class MemorySource final : public TraceSource {
 
 /// Streams frames off a live BusSimulator by advancing the simulation in
 /// bounded chunks on demand: memory is one chunk's worth of frames, not the
-/// whole run. The caller configures the bus (vehicle, attackers, faults)
-/// before constructing the source; the bus must outlive it. Do not call
-/// run_until elsewhere while streaming. (The registered bus listener owns
-/// its buffer jointly with the source, so running the bus after the source
-/// is gone is wasteful but safe.)
+/// whole run. Any chunk, even one shorter than a frame, streams the frames
+/// one run_until over the whole duration delivers. The caller configures
+/// the bus (vehicle, attackers) before constructing the source; the bus
+/// must outlive it. Do not call run_until elsewhere while streaming. (The
+/// registered bus listener owns its buffer jointly with the source, so
+/// running the bus after the source is gone is wasteful but safe.)
 class BusStreamSource final : public TraceSource {
  public:
   BusStreamSource(can::BusSimulator& bus, util::TimeNs duration,

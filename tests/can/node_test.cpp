@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -101,6 +102,52 @@ TEST(PeriodicSenderTest, ScalePeriodsChangesRate) {
   sender.produce(100 * kMillisecond);
   EXPECT_EQ(sender.stats().generated, 21u);  // due every 5 ms from 0
   EXPECT_THROW(sender.scale_periods(0.0), canids::ContractViolation);
+}
+
+// The bus sleeps until next_production_time(), so it must stay the earliest
+// due time of any message, however irregularly produce() is called.
+TEST(PeriodicSenderTest, NextProductionTimeStaysTheEarliestDueTime) {
+  const std::vector<MessageSpec> specs = {
+      spec_of(0x100, 10 * kMillisecond, 3 * kMillisecond),
+      spec_of(0x200, 25 * kMillisecond, 0),
+      spec_of(0x300, 7 * kMillisecond, 12 * kMillisecond)};
+  PeriodicSender sender("ecu", specs, util::Rng(1), /*queue_capacity=*/1024);
+
+  // The schedule kept by hand: each message is due at its offset, then
+  // every period after.
+  std::vector<TimeNs> due;
+  std::vector<TimeNs> period;
+  for (const MessageSpec& spec : specs) {
+    due.push_back(spec.offset);
+    period.push_back(spec.period);
+  }
+  std::uint64_t generated = 0;
+  auto step_to = [&](TimeNs now) {
+    sender.produce(now);
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      for (; due[i] <= now; due[i] += period[i]) ++generated;
+    }
+    EXPECT_EQ(sender.next_production_time(),
+              *std::min_element(due.begin(), due.end()))
+        << "after produce(" << now << ")";
+    EXPECT_EQ(sender.stats().generated, generated)
+        << "after produce(" << now << ")";
+  };
+
+  EXPECT_EQ(sender.next_production_time(), 0);
+  for (const TimeNs now : {0, 0, 2, 3, 3, 11, 12, 40, 40, 41, 97}) {
+    step_to(now * kMillisecond);
+  }
+
+  // New periods apply from each message's next due time on.
+  sender.scale_periods(0.3);
+  for (TimeNs& p : period) {
+    p = std::max<TimeNs>(
+        static_cast<TimeNs>(static_cast<double>(p) * 0.3), 1);
+  }
+  for (const TimeNs now : {97, 98, 99, 120, 120, 121, 200}) {
+    step_to(now * kMillisecond);
+  }
 }
 
 TEST(PeriodicSenderTest, RejectsEmptySpecList) {

@@ -97,6 +97,25 @@ TEST(PackedWireTimingTest, CoversEveryFormatAndLength) {
   }
 }
 
+// Every standard identifier, under each length, both frame types and fills
+// of long runs, alternating bits and nibble runs.
+TEST(PackedWireTimingTest, EqualsSerializedReferenceForEveryStandardId) {
+  for (std::uint32_t raw = 0; raw <= kMaxStdId; ++raw) {
+    const CanId id = CanId::standard(raw);
+    for (std::uint8_t dlc = 0; dlc <= kMaxDataBytes; ++dlc) {
+      const Frame remote = Frame::remote_frame(id, dlc);
+      ASSERT_EQ(wire_bit_length(remote), serialize(remote).stuffed.size())
+          << remote.to_string();
+      for (const std::uint8_t fill : {0x00, 0xFF, 0x55, 0xAA, 0x0F}) {
+        const std::vector<std::uint8_t> payload(dlc, fill);
+        const Frame data = Frame::data_frame(id, payload);
+        ASSERT_EQ(wire_bit_length(data), serialize(data).stuffed.size())
+            << data.to_string();
+      }
+    }
+  }
+}
+
 // The paper's §III.B.1 stuffing bound: no well-formed frame holds the bus
 // dominant for more than 6 bits (48 us at 125 kbit/s), which is why the
 // zero-flood needs a raw bus hold, not frames.

@@ -164,6 +164,36 @@ TEST(TraceSourceTest, SyntheticStreamingMatchesBatchRecording) {
   EXPECT_EQ(i, batch.size()) << "streaming truncated the drive";
 }
 
+// A chunk shorter than one frame's wire time (about 1 ms at 125 kbit/s)
+// leaves the bus clock past the chunk's end after every frame; the stream
+// must still equal a one-shot run frame by frame.
+TEST(TraceSourceTest, BusStreamMatchesOneShotRunAtAnyChunk) {
+  const SyntheticVehicle vehicle;
+  const util::TimeNs duration = util::kSecond;
+  const std::uint64_t seed = 4711;
+  const Trace batch =
+      vehicle.record_trace(DrivingBehavior::kCity, duration, seed);
+  ASSERT_GT(batch.size(), 100u);
+
+  for (const util::TimeNs chunk :
+       {100 * util::kMicrosecond, util::kMillisecond,
+        250 * util::kMillisecond}) {
+    can::BusSimulator bus(vehicle.config().bus);
+    vehicle.attach_to(bus, DrivingBehavior::kCity, seed);
+    BusStreamSource source(bus, duration, chunk);
+    std::size_t i = 0;
+    while (auto frame = source.next()) {
+      ASSERT_LT(i, batch.size()) << "chunk " << chunk << ": extra frames";
+      ASSERT_EQ(frame->timestamp, batch[i].timestamp)
+          << "chunk " << chunk << ", frame " << i;
+      ASSERT_EQ(frame->frame, batch[i].frame)
+          << "chunk " << chunk << ", frame " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, batch.size()) << "chunk " << chunk << ": truncated";
+  }
+}
+
 TEST(TraceSourceTest, FillReadsInChunksAndStopsAtEnd) {
   // The base-class fill (CandumpSource doesn't override it) must honour
   // `max`, append without clearing, and return 0 only at end of stream.

@@ -215,46 +215,42 @@ void BM_BinaryEntropy(benchmark::State& state) {
 BENCHMARK(BM_BinaryEntropy);
 
 /// The paper-trained template (pairs on), the vehicle's ID pool, and the
-/// first alerted window inside a 100 Hz three-ID injection on the
-/// simulated bus; built once, like capture().
+/// first alerted window inside a 100 Hz injection of `kind` on the
+/// simulated bus.
 struct InferenceCase {
   std::shared_ptr<const ids::GoldenTemplate> golden;
   std::vector<std::uint32_t> id_pool;
   std::optional<ids::WindowSnapshot> alerted;
 };
 
-const InferenceCase& multi3_case() {
-  static const InferenceCase c = [] {
-    metrics::ExperimentRunner runner;
-    InferenceCase made{runner.train_shared(), runner.vehicle().id_pool(), {}};
-    const trace::SyntheticVehicle& vehicle = runner.vehicle();
-    can::BusSimulator bus(vehicle.config().bus);
-    vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 17);
-    attacks::AttackConfig config;
-    config.frequency_hz = 100.0;
-    config.start = 2 * util::kSecond;
-    config.stop = 6 * util::kSecond;
-    auto attack = attacks::make_scenario(attacks::ScenarioKind::kMulti3,
-                                         vehicle, config, util::Rng(18));
-    attacks::attach_attack(bus, attack);
-    ids::IdsPipeline pipeline(made.golden, {}, ids::PipelineConfig{});
-    bus.add_listener([&](const can::TimedFrame& frame) {
-      auto report = pipeline.on_frame(frame.timestamp, frame.frame.id());
-      if (!made.alerted && report && report->detection.alert &&
-          report->snapshot.start >= config.start) {
-        made.alerted = std::move(report->snapshot);
-      }
-    });
-    bus.run_until(config.stop);
-    return made;
-  }();
-  return c;
+InferenceCase make_inference_case(attacks::ScenarioKind kind) {
+  metrics::ExperimentRunner runner;
+  InferenceCase made{runner.train_shared(), runner.vehicle().id_pool(), {}};
+  const trace::SyntheticVehicle& vehicle = runner.vehicle();
+  can::BusSimulator bus(vehicle.config().bus);
+  vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 17);
+  attacks::AttackConfig config;
+  config.frequency_hz = 100.0;
+  config.start = 2 * util::kSecond;
+  config.stop = 6 * util::kSecond;
+  auto attack = attacks::make_scenario(kind, vehicle, config, util::Rng(18));
+  attacks::attach_attack(bus, attack);
+  ids::IdsPipeline pipeline(made.golden, {}, ids::PipelineConfig{});
+  bus.add_listener([&](const can::TimedFrame& frame) {
+    auto report = pipeline.on_frame(frame.timestamp, frame.frame.id());
+    if (!made.alerted && report && report->detection.alert &&
+        report->snapshot.start >= config.start) {
+      made.alerted = std::move(report->snapshot);
+    }
+  });
+  bus.run_until(config.stop);
+  return made;
 }
 
-void BM_Inference_Multi3(benchmark::State& state) {
-  const InferenceCase& c = multi3_case();
+/// Times one inference over the case's alerted window.
+void run_inference(benchmark::State& state, const InferenceCase& c) {
   if (!c.alerted) {
-    state.SkipWithError("no alerted multi3 window");
+    state.SkipWithError("no alerted window");
     return;
   }
   const ids::InferenceEngine engine(c.golden, c.id_pool);
@@ -264,7 +260,27 @@ void BM_Inference_Multi3(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["pool_ids"] = static_cast<double>(c.id_pool.size());
 }
+
+void BM_Inference_Single(benchmark::State& state) {
+  static const InferenceCase c =
+      make_inference_case(attacks::ScenarioKind::kSingle);
+  run_inference(state, c);
+}
+BENCHMARK(BM_Inference_Single)->Unit(benchmark::kMillisecond);
+
+void BM_Inference_Multi3(benchmark::State& state) {
+  static const InferenceCase c =
+      make_inference_case(attacks::ScenarioKind::kMulti3);
+  run_inference(state, c);
+}
 BENCHMARK(BM_Inference_Multi3)->Unit(benchmark::kMillisecond);
+
+void BM_Inference_Multi4(benchmark::State& state) {
+  static const InferenceCase c =
+      make_inference_case(attacks::ScenarioKind::kMulti4);
+  run_inference(state, c);
+}
+BENCHMARK(BM_Inference_Multi4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

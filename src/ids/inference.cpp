@@ -40,6 +40,14 @@ constexpr double kLambdaMax = 0.75;
 /// Complexity penalty added per extra injected ID when estimating the set
 /// size (keeps the fit from always preferring larger sets).
 constexpr double kSizePenalty = 2e-4;
+/// The set search fits a child in full, unbounded, when a Cholesky pivot²
+/// of its parent's Gram block, or the child's own Schur complement, is
+/// below this fraction of its diagonal entry: near-collinear patterns are
+/// where the least-squares bound is ill-conditioned.
+constexpr double kBoundGuard = 1e-4;
+/// A child is skipped only when its bound clears the worst kept residual
+/// by this fraction of (|delta| + kLambdaMax * max |pattern|)^2.
+constexpr double kBoundMargin = 1e-6;
 
 /// A partial injected-set hypothesis during beam search.
 struct Hypothesis {
@@ -228,7 +236,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
       }
       if (m == 0) break;
       // Normal equations over active members, ridge-stabilised.
-      double a[4][5] = {};
+      double a[kMaxSet][kMaxSet + 1] = {};
       for (std::size_t r = 0; r < m; ++r) {
         for (std::size_t c = 0; c < m; ++c) {
           a[r][c] = in.gram[idx[r]][idx[c]] + (r == c ? 1e-9 : 0.0);
@@ -252,7 +260,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
           }
         }
       }
-      double solution[4] = {};
+      double solution[kMaxSet] = {};
       for (std::size_t row = m; row-- > 0;) {
         double value = a[row][m];
         for (std::size_t c2 = row + 1; c2 < m; ++c2) {
@@ -367,12 +375,101 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     }
   }
 
+  // ---- Least-squares bound on a child's residual ---------------------------
+  // For a set S, min over real weights of |delta - sum_j w_j pattern_j|^2 is
+  // |delta|^2 - r_S' G_SS^-1 r_S (r = pattern . delta, G = gram). fit's
+  // weights are one choice of real weights (non-negative, lambda-clamped,
+  // ridged) and its size penalty only adds, so this minimum bounds fit's
+  // residual from below. Per parent P, with L the Cholesky factor of G_PP
+  // and z = L^-1 r_P, the parent's own minimum is rho_P = |delta|^2 - |z|^2;
+  // a child P + {c} then costs y = L^-1 G_Pc, s = G_cc - |y|^2,
+  // t = r_c - y . z and rho = rho_P - t^2 / s.
+  //
+  // Rounding: rho need not be accurate, only not above the residual fit
+  // computes. The Gram dot products, the Cholesky factor, the triangular
+  // solves and the sums are backward stable, so the computed rho is the
+  // exact minimum for a Gram block, r and |delta|^2 perturbed by a few
+  // dozen ulps of |p_i| |p_j|, |p_i| |delta| and |delta|^2. That minimum is
+  // at most the perturbed residual at fit's own weights, and those satisfy
+  // w >= 0 and sum w <= kLambdaMax, so rho exceeds the residual at fit's
+  // weights by under 1e-13 R^2, R = |delta| + kLambdaMax * max |pattern|.
+  // fit's in-order sum of <= 66 squares of a residual vector of norm <= R
+  // errs by as little. The guards keep every pivot clear of zero, so these
+  // first-order terms dominate. A margin of kBoundMargin * R^2 covers both
+  // many times over: a skipped child's fit would have reached the worst
+  // kept residual, and fit would have returned it rejected.
+  const double delta_norm2 = dot(delta.data(), delta.data(), dims);
+  double max_pattern_norm2 = 0.0;
+  for (std::size_t n : search_pool) {
+    max_pattern_norm2 = std::max(max_pattern_norm2, pattern_norm[n]);
+  }
+  const double bound_scale =
+      std::sqrt(delta_norm2) + kLambdaMax * std::sqrt(max_pattern_norm2);
+  const double margin = kBoundMargin * bound_scale * bound_scale;
+
+  // The parent's factor: L (lower triangle), z and rho_P. `usable` is
+  // false when a pivot fails the guard; its children then fit in full.
+  struct ParentFactor {
+    double l[kMaxSet][kMaxSet] = {};
+    std::array<double, kMaxSet> z{};
+    double rho = 0.0;
+    bool usable = true;
+  };
+  auto factor_parent = [&](const Hypothesis& h) {
+    ParentFactor f;
+    const std::size_t m = h.size;
+    double explained = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* row = &gram[h.members[i] * pool_span];
+      for (std::size_t j = 0; j < i; ++j) {
+        double v = row[h.members[j]];
+        for (std::size_t q = 0; q < j; ++q) v -= f.l[i][q] * f.l[j][q];
+        f.l[i][j] = v / f.l[j][j];
+      }
+      double pivot2 = row[h.members[i]];
+      for (std::size_t q = 0; q < i; ++q) pivot2 -= f.l[i][q] * f.l[i][q];
+      if (!(pivot2 > kBoundGuard * row[h.members[i]])) {
+        f.usable = false;
+        return f;
+      }
+      f.l[i][i] = std::sqrt(pivot2);
+      double v = pattern_delta[search_pool[h.members[i]]];
+      for (std::size_t q = 0; q < i; ++q) v -= f.l[i][q] * f.z[q];
+      f.z[i] = v / f.l[i][i];
+      explained += f.z[i] * f.z[i];
+    }
+    f.rho = delta_norm2 - explained;
+    return f;
+  };
+  // Whether fit is sure to reject child P + {c} against a full beam whose
+  // worst kept residual is `worst`.
+  auto ruled_out = [&](const Hypothesis& h, const ParentFactor& f,
+                       std::size_t c, double worst) {
+    const std::size_t m = h.size;
+    std::array<double, kMaxSet> y{};
+    const double diag = gram[c * pool_span + c];
+    double s = diag;
+    double t = pattern_delta[search_pool[c]];
+    for (std::size_t i = 0; i < m; ++i) {
+      double v = gram[h.members[i] * pool_span + c];
+      for (std::size_t q = 0; q < i; ++q) v -= f.l[i][q] * y[q];
+      y[i] = v / f.l[i][i];
+      s -= y[i] * y[i];
+      t -= y[i] * f.z[i];
+    }
+    if (!(s > kBoundGuard * diag)) return false;
+    return f.rho - t * t / s - margin >= worst;
+  };
+
   // ---- Beam search over set sizes -------------------------------------------
   // Each set size keeps the kBeamWidth children that fit best by
   // (residual, arrival), exactly what a stable sort of all of them would
   // keep, in a max-heap with the worst kept child on top; no set size
-  // materialises its children. A child stops fitting once its residual
-  // reaches the worst one kept, and a tie goes to the earlier arrival.
+  // materialises its children. Once a size's heap is full, a child whose
+  // least-squares bound already reaches the worst kept residual is skipped
+  // unfitted; any other child stops fitting once its residual reaches it,
+  // and a tie goes to the earlier arrival. Only kept children take an
+  // arrival, so skipping changes neither the kept sets nor their order.
   std::vector<Hypothesis> beam;
   std::vector<Hypothesis> next;  // max-heap under fits_better
   beam.reserve(kBeamWidth);
@@ -431,7 +528,12 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
 
   for (std::size_t k = 2; k <= kMaxSet && !beam.empty(); ++k) {
     for (const Hypothesis& h : beam) {
+      const ParentFactor factor = factor_parent(h);
       for (std::size_t pi = h.members[h.size - 1] + 1; pi < pool_span; ++pi) {
+        if (factor.usable && next.size() == kBeamWidth &&
+            ruled_out(h, factor, pi, next.front().residual)) {
+          continue;
+        }
         Hypothesis grown = h;
         grown.members[grown.size++] = pi;
         offer(grown);

@@ -12,7 +12,10 @@
 // bit constraints are ranked (IDs sorted ascending = descending arbitration
 // power), the first `rank` are reported, and a detection counts as a hit
 // when the true ID is among them. For multiple IDs a beam search fits
-// (S, lambda) to the observed shift vector.
+// (S, lambda) to the observed shift vector. It skips, unfitted, a set whose
+// least-squares residual over free real weights already rules it out of
+// the beam; that bound is below any residual the fit could return, so the
+// result is the same as fitting every set.
 #pragma once
 
 #include <cstdint>

@@ -28,14 +28,12 @@ class InferenceWorld {
  public:
   explicit InferenceWorld(std::uint64_t seed = 99, int pool_size = 60,
                           bool with_pairs = false)
-      : with_pairs_(with_pairs) {
-    util::Rng rng(seed);
-    while (static_cast<int>(pool_.size()) < pool_size) {
-      const auto id = static_cast<std::uint32_t>(rng.below(0x800));
-      if (std::find(pool_.begin(), pool_.end(), id) == pool_.end()) {
-        pool_.push_back(id);
-      }
-    }
+      : InferenceWorld(random_pool(seed, pool_size), seed, with_pairs) {}
+
+  /// A world over the given pool of distinct IDs.
+  InferenceWorld(std::vector<std::uint32_t> pool, std::uint64_t seed,
+                 bool with_pairs)
+      : with_pairs_(with_pairs), pool_(std::move(pool)) {
     std::sort(pool_.begin(), pool_.end());
     // Stable per-ID frame counts per window (priority-weighted).
     for (std::size_t i = 0; i < pool_.size(); ++i) {
@@ -81,6 +79,19 @@ class InferenceWorld {
   [[nodiscard]] const GoldenTemplate& golden() const { return golden_; }
 
  private:
+  static std::vector<std::uint32_t> random_pool(std::uint64_t seed,
+                                                int pool_size) {
+    util::Rng rng(seed);
+    std::vector<std::uint32_t> pool;
+    while (static_cast<int>(pool.size()) < pool_size) {
+      const auto id = static_cast<std::uint32_t>(rng.below(0x800));
+      if (std::find(pool.begin(), pool.end(), id) == pool.end()) {
+        pool.push_back(id);
+      }
+    }
+    return pool;
+  }
+
   bool with_pairs_;
   std::vector<std::uint32_t> pool_;
   std::map<std::uint32_t, int> weights_;
@@ -535,6 +546,53 @@ TEST(InferenceRegressionTest, SimulatedAlertsMatchPinnedDigest) {
   EXPECT_GE(windows, 90u);
   EXPECT_EQ(hash, 0x72472727307D06D7ULL) << windows << " windows: 0x" << std::hex
                           << std::uppercase << hash << "ULL";
+}
+
+// Where the beam search's least-squares bound is weakest: 64 adjacent IDs,
+// so many candidates differ in one bit and their patterns are nearly
+// collinear. Covers marginals-only and pair-carrying templates and windows,
+// 1-4 injected IDs at two strengths, a window with no shift at all and an
+// injection heavy enough that the lambda clamp fires.
+TEST(InferenceRegressionTest, NearCollinearPoolMatchesPinnedDigest) {
+  std::vector<std::uint32_t> adjacent;
+  for (std::uint32_t id = 0x300; id < 0x340; ++id) adjacent.push_back(id);
+  const std::vector<std::vector<std::size_t>> sets = {
+      {17}, {20, 21}, {8, 9, 40}, {3, 4, 35, 63}};
+  const std::pair<bool, bool> modes[] = {
+      {false, false}, {true, true}, {true, false}};
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  bool clamped = false;
+  for (const auto& [template_pairs, window_pairs] : modes) {
+    const InferenceWorld model_world(adjacent, 5, template_pairs);
+    const InferenceWorld window_world(adjacent, 5, window_pairs);
+    const InferenceEngine engine(model_world.golden(), model_world.pool());
+    for (const std::vector<std::size_t>& set : sets) {
+      for (int frames : {25, 90}) {
+        std::map<std::uint32_t, int> injected;
+        for (std::size_t position : set) injected[adjacent[position]] = frames;
+        for (std::uint64_t noise_seed : {41u, 42u, 43u}) {
+          fnv1a(hash,
+                engine.infer(window_world.make_window(injected, noise_seed)));
+        }
+      }
+    }
+    const InferenceResult heavy =
+        engine.infer(window_world.make_window({{adjacent[50], 4000}}, 44));
+    clamped = clamped || heavy.estimated_injection_fraction == 0.75;
+    fnv1a(hash, heavy);
+
+    WindowSnapshot still;
+    still.frames = 600;
+    still.end = util::kSecond;
+    still.probabilities = model_world.golden().mean_probability;
+    if (window_pairs) {
+      still.pair_probabilities = model_world.golden().mean_pair_probability;
+    }
+    fnv1a(hash, engine.infer(still));
+  }
+  EXPECT_TRUE(clamped) << "no window reached the lambda clamp";
+  EXPECT_EQ(hash, 0x32F26A76E5738AC4ULL)
+      << "0x" << std::hex << std::uppercase << hash << "ULL";
 }
 
 }  // namespace

@@ -110,11 +110,6 @@ class ReplayNode final : public AttackNode {
   void produce(util::TimeNs now) override;
   [[nodiscard]] util::TimeNs next_production_time() const override;
 
-  /// Frames captured during the recording phase so far.
-  [[nodiscard]] std::size_t recorded_frames() const noexcept {
-    return recording_.size();
-  }
-
  private:
   [[nodiscard]] util::TimeNs due_time() const noexcept;
 
@@ -140,11 +135,6 @@ class EcuSuspendNode : public AttackNode {
 
   void produce(util::TimeNs now) override;
   [[nodiscard]] util::TimeNs next_production_time() const override;
-
-  [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-  [[nodiscard]] const std::string& victim_node() const noexcept {
-    return victim_node_;
-  }
 
  protected:
   can::Node* victim_ = nullptr;
@@ -259,7 +249,6 @@ inline constexpr std::array<ScenarioKind, kScenarioKindCount> kAllScenarios =
 /// Short machine token ("flood", "replay", ...) used by campaign specs,
 /// report columns, and `canids simulate --attack`.
 [[nodiscard]] std::string_view scenario_token(ScenarioKind kind) noexcept;
-[[nodiscard]] int scenario_id_count(ScenarioKind kind) noexcept;
 [[nodiscard]] bool scenario_inferable(ScenarioKind kind) noexcept;
 
 /// A fully-built attacker: the node (to hand to the bus) plus the ground

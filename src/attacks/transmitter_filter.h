@@ -19,10 +19,6 @@ class TransmitterFilter {
   /// True if the frame may pass onto the bus.
   [[nodiscard]] bool allows(const can::Frame& frame) const noexcept;
 
-  [[nodiscard]] const std::vector<std::uint32_t>& allowed_ids() const noexcept {
-    return allowed_;
-  }
-
   /// Adapt to the Node transmit-filter hook.
   [[nodiscard]] std::function<bool(const can::Frame&)> as_predicate() const;
 

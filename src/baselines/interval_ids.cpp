@@ -122,31 +122,23 @@ IntervalIds IntervalIds::load(std::istream& in) {
   const auto read_header = [&](std::string_view key) {
     return util::read_keyed_line(in, key, "interval model");
   };
-  try {
-    std::size_t used = 0;
-    const std::string ratio = read_header("fast_ratio");
-    if (!util::parse_double_strict(ratio, config.fast_ratio)) {
-      throw bad("malformed fast_ratio '" + ratio + "'");
-    }
-    const std::string violations = read_header("violations_to_alert");
-    config.violations_to_alert = std::stoi(violations, &used);
-    if (used != violations.size()) {
-      throw bad("malformed violations_to_alert '" + violations + "'");
-    }
-    const std::string unseen = read_header("alert_on_unseen");
-    if (unseen != "0" && unseen != "1") {
-      throw bad("malformed alert_on_unseen '" + unseen + "'");
-    }
-    config.alert_on_unseen = unseen == "1";
-    const std::string count = read_header("ids");
-    id_count = std::stoull(count, &used);
-    if (used != count.size()) throw bad("malformed id count '" + count + "'");
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
-    // stoi/stoull out_of_range on a header value; `line` still holds the
-    // magic line here, so don't name it.
-    throw bad("header value out of range");
+  // Integer fields are plain digits, so a sign can never wrap a value.
+  const std::string ratio = read_header("fast_ratio");
+  if (!util::parse_double_strict(ratio, config.fast_ratio)) {
+    throw bad("malformed fast_ratio '" + ratio + "'");
+  }
+  const std::string violations = read_header("violations_to_alert");
+  if (!util::parse_digits_strict(violations, config.violations_to_alert)) {
+    throw bad("malformed violations_to_alert '" + violations + "'");
+  }
+  const std::string unseen = read_header("alert_on_unseen");
+  if (unseen != "0" && unseen != "1") {
+    throw bad("malformed alert_on_unseen '" + unseen + "'");
+  }
+  config.alert_on_unseen = unseen == "1";
+  const std::string count = read_header("ids");
+  if (!util::parse_digits_strict(count, id_count)) {
+    throw bad("malformed id count '" + count + "'");
   }
   // Parseable-but-invalid config is a stream error (clean runtime_error),
   // not a programmer error — don't let the constructor's contract checks
@@ -163,17 +155,18 @@ IntervalIds IntervalIds::load(std::istream& in) {
                 " id rows, got " + std::to_string(row));
     }
     std::istringstream ls(line);
-    std::uint64_t id = 0;
-    util::TimeNs mean_interval = 0;
+    std::string id_text;
+    std::string interval_text;
     std::string extra;
-    ls >> id >> mean_interval;
-    if (!ls || (ls >> extra) || id > 0xFFFFFFFFull || mean_interval <= 0) {
+    std::uint32_t id = 0;
+    RunState state;
+    ls >> id_text >> interval_text;
+    if (!ls || (ls >> extra) || !util::parse_digits_strict(id_text, id) ||
+        !util::parse_digits_strict(interval_text, state.mean_interval) ||
+        state.mean_interval <= 0) {
       throw bad("malformed id row '" + line + "'");
     }
-    RunState state;
-    state.mean_interval = mean_interval;
-    if (!model.learned_.emplace(static_cast<std::uint32_t>(id), state)
-             .second) {
+    if (!model.learned_.emplace(id, state).second) {
       throw bad("duplicate id row '" + line + "'");
     }
   }
@@ -184,11 +177,6 @@ IntervalIds IntervalIds::load(std::istream& in) {
 
 std::size_t IntervalIds::state_bytes() const noexcept {
   return learned_.size() * (sizeof(std::uint32_t) + sizeof(RunState));
-}
-
-util::TimeNs IntervalIds::learned_interval(std::uint32_t id) const {
-  const auto it = learned_.find(id);
-  return it == learned_.end() ? 0 : it->second.mean_interval;
 }
 
 }  // namespace canids::baselines

@@ -163,18 +163,9 @@ MuterEntropyIds MuterEntropyIds::load(std::istream& in) {
   config.min_threshold =
       parse_value(expect_keyed_line(in, "min_threshold"), "min_threshold");
   const std::string frames_text = expect_keyed_line(in, "min_window_frames");
-  try {
-    // stoull silently wraps a negative value through 2^64, which would
-    // restore a detector whose frame floor no window can ever reach (never
-    // evaluates, never alerts) — require a plain digit string.
-    if (frames_text.empty() ||
-        frames_text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument("digits");
-    }
-    std::size_t used = 0;
-    config.min_window_frames = std::stoull(frames_text, &used);
-    if (used != frames_text.size()) throw std::invalid_argument("trail");
-  } catch (const std::exception&) {
+  // A negative value must not wrap through 2^64 into a detector whose
+  // frame floor no window can ever reach (never evaluates, never alerts).
+  if (!util::parse_digits_strict(frames_text, config.min_window_frames)) {
     throw std::runtime_error("muter model: malformed min_window_frames '" +
                              frames_text + "'");
   }

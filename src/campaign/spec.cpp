@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "can/frame.h"
 #include "util/json.h"
 #include "util/time.h"
 
@@ -159,6 +160,14 @@ void CampaignSpec::validate() const {
     }
     if (seeds < 1) {
       throw std::invalid_argument("campaign spec: seeds must be >= 1");
+    }
+    // The simulated vehicle sends standard frames; a wider ID would fail
+    // the injector's contract mid-run.
+    for (const std::uint32_t id : sweep_ids) {
+      if (id > can::kMaxStdId) {
+        throw std::invalid_argument(
+            "campaign spec: sweep IDs must be standard (<= 0x7FF)");
+      }
     }
   }
   if (threshold_scales.empty()) {

@@ -20,11 +20,6 @@ namespace canids::can {
 /// 11 ID bits.
 [[nodiscard]] BitString arbitration_bits(const Frame& frame);
 
-/// True if `a` wins arbitration against `b`. Identical arbitration fields
-/// are a protocol violation (two nodes sending the same ID simultaneously);
-/// this returns false for that case — use arbitrate() to detect ties.
-[[nodiscard]] bool arbitration_wins(const Frame& a, const Frame& b);
-
 /// Outcome of one arbitration round.
 struct ArbitrationResult {
   /// Index into the contender span of the winning frame.

@@ -277,16 +277,6 @@ std::size_t wire_bit_length(const Frame& frame) noexcept {
   return static_cast<std::size_t>(region.size + stuff_bits + kTailBits);
 }
 
-std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept {
-  // Standard data frame: 1 SOF + 11 ID + 1 RTR + 2 control + 4 DLC + 8*dlc
-  // data + 15 CRC = 34 + 8*dlc stuffable bits; worst-case stuffing adds
-  // floor((n-1)/4); plus 10 fixed tail bits (delimiters, ACK, EOF).
-  const int stuffable =
-      (format == IdFormat::kStandard ? 34 : 54) + 8 * dlc;
-  const int worst_stuff = (stuffable - 1) / 4;
-  return static_cast<std::size_t>(stuffable + worst_stuff + kTailBits);
-}
-
 util::TimeNs bits_duration(std::int64_t bits, std::uint32_t bitrate_bps) {
   CANIDS_EXPECTS(bitrate_bps > 0);
   return bits * util::kSecond / static_cast<std::int64_t>(bitrate_bps);

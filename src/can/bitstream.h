@@ -39,8 +39,6 @@ class BitString {
   [[nodiscard]] bool empty() const noexcept { return bits_.empty(); }
   [[nodiscard]] bool operator[](std::size_t i) const { return bits_[i]; }
 
-  [[nodiscard]] const std::vector<bool>& bits() const noexcept { return bits_; }
-
   /// Render as '0'/'1' characters, MSB (first on the wire) first.
   [[nodiscard]] std::string to_string() const;
 
@@ -94,10 +92,6 @@ struct SerializedFrame {
 /// computed from the packed encoding a byte at a time with no allocation;
 /// equal to serialize(frame).stuffed.size().
 [[nodiscard]] std::size_t wire_bit_length(const Frame& frame) noexcept;
-
-/// Worst-case (maximum) wire length for a frame with `dlc` data bytes in the
-/// given format; useful for bandwidth bounds.
-[[nodiscard]] std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept;
 
 /// Duration of `bits` bit times at `bitrate_bps`.
 [[nodiscard]] util::TimeNs bits_duration(std::int64_t bits,

@@ -67,9 +67,6 @@ class BusSimulator {
   /// Transfer ownership of an existing node; returns its index.
   int add_node(std::unique_ptr<Node> node);
 
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
-  }
   [[nodiscard]] Node& node(int index);
   [[nodiscard]] const Node& node(int index) const;
 
@@ -88,9 +85,6 @@ class BusSimulator {
   [[nodiscard]] const BusConfig& config() const noexcept { return config_; }
   [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
   [[nodiscard]] util::TimeNs now() const noexcept { return now_; }
-
-  /// Duration of one bit on this bus.
-  [[nodiscard]] util::TimeNs bit_time() const noexcept { return bit_time_; }
 
  private:
   /// Collect into contenders_ the indices of nodes allowed to contend at

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 namespace canids::can {
 
@@ -33,11 +32,6 @@ class Crc15 {
   /// Shift in one byte MSB-first: the same register as eight push_bit()
   /// calls, eight bits per table step.
   constexpr void push_byte(std::uint8_t byte) noexcept;
-
-  /// Shift in whole bytes MSB-first.
-  constexpr void push_bytes(std::span<const std::uint8_t> bytes) noexcept {
-    for (std::uint8_t b : bytes) push_byte(b);
-  }
 
   [[nodiscard]] constexpr std::uint16_t value() const noexcept { return reg_; }
 
@@ -71,8 +65,5 @@ constexpr void Crc15::push_byte(std::uint8_t byte) noexcept {
   reg_ = static_cast<std::uint16_t>(((reg_ << 8) & kCrc15Mask) ^
                                     detail::kCrc15ByteTable[index]);
 }
-
-/// One-shot CRC over a byte sequence (MSB-first per byte).
-[[nodiscard]] std::uint16_t crc15_of(std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace canids::can

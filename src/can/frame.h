@@ -44,7 +44,6 @@ class CanId {
   }
 
   [[nodiscard]] constexpr std::uint32_t raw() const noexcept { return raw_; }
-  [[nodiscard]] constexpr IdFormat format() const noexcept { return format_; }
   [[nodiscard]] constexpr bool is_extended() const noexcept {
     return format_ == IdFormat::kExtended;
   }
@@ -66,7 +65,7 @@ class CanId {
     return a.raw_ == b.raw_ && a.format_ == b.format_;
   }
   /// Orders by (format, raw). NOTE: this is a container ordering, not the
-  /// arbitration order; use can::arbitration_wins for bus semantics.
+  /// arbitration order; use can::arbitrate for bus semantics.
   friend constexpr auto operator<=>(CanId a, CanId b) noexcept {
     if (a.format_ != b.format_) return a.format_ <=> b.format_;
     return a.raw_ <=> b.raw_;
@@ -100,12 +99,6 @@ class Frame {
   [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
     return remote_ ? std::span<const std::uint8_t>{}
                    : std::span<const std::uint8_t>(data_.data(), dlc_);
-  }
-
-  /// Mutable payload access for in-place signal updates.
-  [[nodiscard]] std::span<std::uint8_t> mutable_payload() noexcept {
-    return remote_ ? std::span<std::uint8_t>{}
-                   : std::span<std::uint8_t>(data_.data(), dlc_);
   }
 
   /// Render like candump: "123#DEADBEEF" (or "123#R4" for remote frames).

@@ -138,14 +138,6 @@ class PeriodicSender : public Node {
   void produce(util::TimeNs now) override;
   [[nodiscard]] util::TimeNs next_production_time() const override;
 
-  [[nodiscard]] const std::vector<MessageSpec>& messages() const noexcept {
-    return specs_;
-  }
-
-  /// Scale all periods by `factor` (> 0). Used by driving-behaviour changes
-  /// and by the weak attacker, which speeds up its own legal messages.
-  void scale_periods(double factor);
-
  private:
   struct ScheduleEntry {
     util::TimeNs next_due = 0;
@@ -161,22 +153,6 @@ class PeriodicSender : public Node {
   /// to enqueue and returns at once.
   util::TimeNs earliest_due_ = util::kNever;
   util::Rng rng_;
-};
-
-/// A node that transmits an explicit list of (time, frame) pairs; useful in
-/// tests and for replaying captured traces through the simulator.
-class ScriptedSender : public Node {
- public:
-  ScriptedSender(std::string name,
-                 std::vector<std::pair<util::TimeNs, Frame>> script,
-                 std::size_t queue_capacity = 64);
-
-  void produce(util::TimeNs now) override;
-  [[nodiscard]] util::TimeNs next_production_time() const override;
-
- private:
-  std::vector<std::pair<util::TimeNs, Frame>> script_;  // sorted by time
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace canids::can

@@ -229,9 +229,6 @@ class FleetEngine {
 
   [[nodiscard]] int shards() const noexcept { return shard_count_; }
   [[nodiscard]] int shard_of(std::string_view key) const noexcept;
-  [[nodiscard]] std::size_t stream_count() const noexcept {
-    return streams_.size();
-  }
   /// The prototype backend streams are cloned from.
   [[nodiscard]] const analysis::DetectorBackend& detector() const noexcept {
     return *prototype_;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "util/contracts.h"
@@ -26,18 +25,17 @@ namespace canids::engine {
 /// Bounded SPSC FIFO. Exactly one thread may call the push side and one
 /// (other) thread the pop side; no locks, no allocation after construction.
 /// One slot is sacrificed to distinguish full from empty, so the usable
-/// capacity is `capacity() - 1`.
+/// capacity is the ring size - 1.
 template <typename T>
 class SpscQueue {
  public:
-  /// `min_capacity` is rounded up to a power of two.
+  /// At least `min_capacity` elements fit: the ring size is the smallest
+  /// power of two above it.
   explicit SpscQueue(std::size_t min_capacity = 1024)
       : slots_(ceil_pow2(min_capacity + 1)), mask_(slots_.size() - 1) {}
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
   /// Producer side. Returns false when the queue is full.
   bool try_push(const T& value) {
@@ -69,18 +67,6 @@ class SpscQueue {
       tail_.store((tail + pushed) & mask_, std::memory_order_release);
     }
     return pushed;
-  }
-
-  /// Consumer side. Returns nullopt when the queue is empty.
-  std::optional<T> try_pop() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return std::nullopt;
-    }
-    T value = slots_[head];
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return value;
   }
 
   /// Consumer side: move up to `max` elements into `out` (appended), with a

@@ -11,30 +11,4 @@ double binary_entropy(double p) noexcept {
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
-double binary_entropy_derivative(double p) noexcept {
-  constexpr double kClamp = 1e12;
-  p = std::clamp(p, 0.0, 1.0);
-  if (p <= 0.0) return kClamp;
-  if (p >= 1.0) return -kClamp;
-  return std::clamp(std::log2((1.0 - p) / p), -kClamp, kClamp);
-}
-
-double binary_entropy_inverse(double h) noexcept {
-  h = std::clamp(h, 0.0, 1.0);
-  if (h == 0.0) return 0.0;
-  if (h == 1.0) return 0.5;
-  double lo = 0.0;
-  double hi = 0.5;
-  // H_b is strictly increasing on [0, 0.5]; 50 bisection steps reach ~1e-16.
-  for (int i = 0; i < 60; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (binary_entropy(mid) < h) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace canids::ids

@@ -10,12 +10,4 @@ namespace canids::ids {
 /// clamped (they only arise from floating-point round-off upstream).
 [[nodiscard]] double binary_entropy(double p) noexcept;
 
-/// Derivative dH_b/dp = log2((1-p)/p); +/-infinity at the endpoints is
-/// clamped to a large finite magnitude. Used by sensitivity diagnostics.
-[[nodiscard]] double binary_entropy_derivative(double p) noexcept;
-
-/// Inverse of H_b on the left branch: returns the p in [0, 0.5] with
-/// H_b(p) = h. Requires h in [0,1]; solved by bisection to ~1e-12.
-[[nodiscard]] double binary_entropy_inverse(double h) noexcept;
-
 }  // namespace canids::ids

@@ -68,7 +68,6 @@ void lane_spill(const std::uint64_t* lanes, std::uint64_t* ones,
 }
 
 template class BitCountersT<can::kStdIdBits>;
-template class BitCountersT<can::kExtIdBits>;
 template class PairCountersT<can::kStdIdBits>;
 
 }  // namespace canids::ids

@@ -51,40 +51,33 @@ void lane_add_avx2(std::uint64_t* lanes, const std::uint64_t* table,
 }  // namespace detail
 
 /// Per-bit '1' counters over a stream of identifiers, templated on the ID
-/// width (11 for CAN 2.0A, 29 for CAN 2.0B).
+/// width (11 for CAN 2.0A).
+///
+/// The update is table-assisted: a shared lookup table maps each
+/// identifier to its bits pre-packed as 16-bit lanes, so add() is kWords
+/// wide adds instead of Width scattered ones. Lanes spill into the 64-bit
+/// counters before they can saturate. ~3x faster per frame for 11-bit IDs
+/// (bench_micro_throughput, BM_BitSlice_CountFrame). The table has 2^Width
+/// rows, so 29-bit (CAN 2.0B) identifiers are not supported.
 template <int Width>
 class BitCountersT {
-  static_assert(Width > 0 && Width <= 32);
+  static_assert(Width > 0 && Width <= can::kStdIdBits,
+                "the lane table has 2^Width rows");
 
  public:
   static constexpr int kWidth = Width;
   /// Identifier bits this counter observes (higher bits are ignored).
-  static constexpr std::uint32_t kIdMask =
-      Width == 32 ? ~0u : (1u << Width) - 1u;
-  /// Narrow identifier spaces use a table-assisted update: a shared lookup
-  /// table maps each identifier to its bits pre-packed as 16-bit lanes, so
-  /// add() is kWords wide adds instead of Width scattered ones. Lanes spill
-  /// into the 64-bit counters before they can saturate. ~3x faster per
-  /// frame for 11-bit IDs (bench_micro_throughput, BM_BitSlice_CountFrame);
-  /// wide (29-bit) IDs would need a 4-Gi-row table and keep the plain loop.
-  static constexpr bool kTableAssisted = Width <= can::kStdIdBits;
+  static constexpr std::uint32_t kIdMask = (1u << Width) - 1u;
 
   /// Count one identifier. Bit 0 is the MSB, matching CanId::bit.
   void add(std::uint32_t raw_id) noexcept {
     ++total_;
-    if constexpr (kTableAssisted) {
-      const LaneRow& row = lane_table()[raw_id & kIdMask];
-      for (int w = 0; w < kWords; ++w) {
-        lanes_[static_cast<std::size_t>(w)] +=
-            row[static_cast<std::size_t>(w)];
-      }
-      if (++pending_ == kLaneLimit) spill();
-    } else {
-      for (int i = 0; i < Width; ++i) {
-        ones_[static_cast<std::size_t>(i)] +=
-            (raw_id >> (Width - 1 - i)) & 1u;
-      }
+    const LaneRow& row = lane_table()[raw_id & kIdMask];
+    for (int w = 0; w < kWords; ++w) {
+      lanes_[static_cast<std::size_t>(w)] +=
+          row[static_cast<std::size_t>(w)];
     }
+    if (++pending_ == kLaneLimit) spill();
   }
 
   void add(const can::CanId& id) {
@@ -94,22 +87,18 @@ class BitCountersT {
 
   /// Count a block of identifiers. Bit-identical to calling add() per id —
   /// lane-spill timing is unobservable (ones() folds pending lanes) — but
-  /// the table-assisted path pushes the whole block through lane_add,
-  /// chunked so no 16-bit lane can saturate mid-batch.
+  /// it pushes the whole block through lane_add, chunked so no 16-bit lane
+  /// can saturate mid-batch.
   void add_batch(const std::uint32_t* ids, std::size_t count) noexcept {
-    if constexpr (kTableAssisted) {
-      const std::uint64_t* table = lane_table().front().data();
-      total_ += count;
-      while (count > 0) {
-        const auto chunk = std::min<std::size_t>(count, kLaneLimit - pending_);
-        lane_add(lanes_.data(), table, kIdMask, ids, chunk);
-        pending_ += static_cast<std::uint32_t>(chunk);
-        ids += chunk;
-        count -= chunk;
-        if (pending_ == kLaneLimit) spill();
-      }
-    } else {
-      for (std::size_t i = 0; i < count; ++i) add(ids[i]);
+    const std::uint64_t* table = lane_table().front().data();
+    total_ += count;
+    while (count > 0) {
+      const auto chunk = std::min<std::size_t>(count, kLaneLimit - pending_);
+      lane_add(lanes_.data(), table, kIdMask, ids, chunk);
+      pending_ += static_cast<std::uint32_t>(chunk);
+      ids += chunk;
+      count -= chunk;
+      if (pending_ == kLaneLimit) spill();
     }
   }
 
@@ -124,7 +113,7 @@ class BitCountersT {
   [[nodiscard]] std::uint64_t ones(int bit) const {
     CANIDS_EXPECTS(bit >= 0 && bit < Width);
     std::uint64_t count = ones_[static_cast<std::size_t>(bit)];
-    if constexpr (kTableAssisted) count += lane(bit);
+    count += lane(bit);
     return count;
   }
 
@@ -187,23 +176,20 @@ class BitCountersT {
   /// quoted in the §V.E comparison benches. The identifier lane table is
   /// shared by every counter instance in the process and excluded.
   [[nodiscard]] static constexpr std::size_t state_bytes() noexcept {
-    return kTableAssisted
-               ? sizeof(ones_) + sizeof(total_) + sizeof(lanes_) +
-                     sizeof(pending_)
-               : sizeof(ones_) + sizeof(total_);
+    return sizeof(ones_) + sizeof(total_) + sizeof(lanes_) +
+           sizeof(pending_);
   }
 
  private:
   static constexpr int kLanesPerWord = 4;  // 16-bit lanes in a u64
   static constexpr int kWords = (Width + kLanesPerWord - 1) / kLanesPerWord;
   static constexpr std::uint32_t kLaneLimit = 0xFFFF;  // lane saturation
-  static_assert(!kTableAssisted || kWords <= kLaneRowWords);
+  static_assert(kWords <= kLaneRowWords);
   /// Rows are padded to kLaneRowWords so lane_add never needs a per-row
   /// tail; padding words stay zero.
   using LaneRow =
       std::array<std::uint64_t, static_cast<std::size_t>(kLaneRowWords)>;
-  using LaneTable =
-      std::array<LaneRow, kTableAssisted ? (std::size_t{1} << Width) : 0>;
+  using LaneTable = std::array<LaneRow, std::size_t{1} << Width>;
 
   /// Shared id -> packed-lane-increment table, built on first use.
   [[nodiscard]] static const LaneTable& lane_table() {
@@ -236,28 +222,23 @@ class BitCountersT {
     pending_ = 0;
   }
 
-  /// Slots in ones_: table-assisted counters pad to whole lane words
-  /// (kLanesPerWord * kWords) so lane_spill can write four 64-bit
-  /// lanes per word without a tail; padding slots stay zero forever.
+  /// Slots in ones_: padded to whole lane words (kLanesPerWord * kWords)
+  /// so lane_spill can write four 64-bit lanes per word without a tail;
+  /// padding slots stay zero forever.
   static constexpr std::size_t kOnesSlots =
-      kTableAssisted ? static_cast<std::size_t>(kLanesPerWord * kWords)
-                     : static_cast<std::size_t>(Width);
+      static_cast<std::size_t>(kLanesPerWord * kWords);
 
   std::array<std::uint64_t, kOnesSlots> ones_{};
   std::uint64_t total_ = 0;
-  /// Lane accumulators; empty for wide counters, which count directly.
-  /// Padded like LaneRow so lane_add works in whole rows.
-  std::array<std::uint64_t,
-             kTableAssisted ? static_cast<std::size_t>(kLaneRowWords) : 0>
-      lanes_{};
+  /// Lane accumulators, padded like LaneRow so lane_add works in whole
+  /// rows.
+  std::array<std::uint64_t, static_cast<std::size_t>(kLaneRowWords)> lanes_{};
   std::uint32_t pending_ = 0;
 };
 
 using BitCounters = BitCountersT<can::kStdIdBits>;
-using BitCounters29 = BitCountersT<can::kExtIdBits>;
 
 extern template class BitCountersT<can::kStdIdBits>;
-extern template class BitCountersT<can::kExtIdBits>;
 
 /// Number of unordered bit pairs (i < j) for a given ID width.
 [[nodiscard]] constexpr int pair_count(int width) noexcept {

@@ -66,11 +66,6 @@ class Detector {
   [[nodiscard]] const GoldenTemplate& golden() const noexcept {
     return *golden_;
   }
-  /// The shared template, for handing to further detectors free of copies.
-  [[nodiscard]] const std::shared_ptr<const GoldenTemplate>& golden_ptr()
-      const noexcept {
-    return golden_;
-  }
   [[nodiscard]] const DetectorConfig& config() const noexcept {
     return config_;
   }

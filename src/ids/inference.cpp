@@ -170,20 +170,6 @@ bool InferenceEngine::satisfies(std::uint32_t id,
   return true;
 }
 
-double InferenceEngine::alignment_score(
-    std::uint32_t id, const std::vector<double>& delta_p) const {
-  // Correlate the candidate's centered bit pattern with the observed shift:
-  // an injected ID pushes p_i toward its own bit values, so the true ID's
-  // (bit_i - p̄_i) pattern aligns with delta_p.
-  double score = 0.0;
-  for (int i = 0; i < golden_->width; ++i) {
-    const auto b = static_cast<std::size_t>(i);
-    score += delta_p[b] *
-             (id_bit(id, i, golden_->width) - golden_->mean_probability[b]);
-  }
-  return score;
-}
-
 InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   CANIDS_EXPECTS(window.width() == golden_->width);
   const auto width = static_cast<std::size_t>(golden_->width);

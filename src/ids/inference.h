@@ -78,11 +78,6 @@ class InferenceEngine {
     return config_;
   }
 
-  /// Matched-filter alignment between candidate `id` and shift vector
-  /// `delta_p`; exposed for diagnostics and tests.
-  [[nodiscard]] double alignment_score(
-      std::uint32_t id, const std::vector<double>& delta_p) const;
-
  private:
   [[nodiscard]] std::vector<BitConstraint> derive_constraints(
       const std::vector<double>& delta_p) const;

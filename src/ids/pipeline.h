@@ -114,11 +114,6 @@ class IdsPipeline {
   [[nodiscard]] bool inference_enabled() const noexcept {
     return inference_.has_value();
   }
-  /// The inference engine; only callable when inference_enabled().
-  [[nodiscard]] const InferenceEngine& inference_engine() const {
-    CANIDS_EXPECTS(inference_.has_value());
-    return *inference_;
-  }
   [[nodiscard]] const PipelineConfig& config() const noexcept {
     return config_;
   }

@@ -78,9 +78,6 @@ class WindowAccumulator {
   std::optional<WindowSnapshot> flush();
 
   [[nodiscard]] const WindowConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint64_t frames_in_current() const noexcept {
-    return counters_.total();
-  }
 
  private:
   [[nodiscard]] WindowSnapshot snapshot(util::TimeNs start,

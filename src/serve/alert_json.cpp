@@ -1,13 +1,6 @@
 #include "serve/alert_json.h"
 
-#include <cstdint>
-#include <optional>
-#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
-
-#include "util/time.h"
 
 namespace canids::serve {
 
@@ -56,73 +49,6 @@ std::string to_json_line(const engine::FleetAlert& alert) {
   }
   out += "}";
   return out;
-}
-
-namespace {
-
-using util::JsonValue;
-
-constexpr std::string_view kDocument = "alert JSONL";
-
-/// `v` as the field type T (see util::JsonValue::get); throws naming the
-/// key and the offset when it is not one.
-template <class T>
-T as(const std::string& key, const JsonValue& v, std::string_view expected) {
-  std::optional<T> value = v.get<T>();
-  if (!value) {
-    throw std::runtime_error(std::string(kDocument) + ": key '" + key +
-                             "' expects " + std::string(expected) +
-                             " (at offset " + std::to_string(v.offset) + ")");
-  }
-  return std::move(*value);
-}
-
-}  // namespace
-
-engine::FleetAlert parse_json_line(std::string_view line) {
-  const JsonValue root = util::parse_json(line, kDocument);
-  if (root.type != JsonValue::Type::kObject) {
-    throw std::runtime_error(std::string(kDocument) +
-                             ": top level must be an object");
-  }
-  engine::FleetAlert alert;
-  analysis::WindowVerdict& verdict = alert.verdict;
-  analysis::Alert detail;
-  for (const auto& [key, value] : root.members) {
-    if (key == "stream") {
-      alert.stream = as<std::string>(key, value, "a string");
-    } else if (key == "start_ns") {
-      verdict.start = as<util::TimeNs>(key, value, "a 64-bit integer");
-    } else if (key == "end_ns") {
-      verdict.end = as<util::TimeNs>(key, value, "a 64-bit integer");
-    } else if (key == "frames") {
-      verdict.frames =
-          as<std::uint64_t>(key, value, "an unsigned 64-bit integer");
-    } else if (key == "evaluated") {
-      verdict.evaluated = as<bool>(key, value, "true/false");
-    } else if (key == "alert") {
-      verdict.alert = as<bool>(key, value, "true/false");
-    } else if (key == "metric") {
-      verdict.metric = as<double>(key, value, "a number");
-    } else if (key == "threshold") {
-      verdict.threshold = as<double>(key, value, "a number");
-    } else if (key == "bits") {
-      detail.alerted_bits =
-          as<std::vector<int>>(key, value, "an array of ints");
-    } else if (key == "candidates") {
-      detail.ranked_candidates = as<std::vector<std::uint32_t>>(
-          key, value, "an array of unsigned 32-bit integers");
-    } else if (key == "voters") {
-      detail.voters =
-          as<std::vector<std::string>>(key, value, "an array of strings");
-    }
-    // Unknown keys are ignored for forward compatibility.
-  }
-  // An alerting verdict always carries detail (possibly with all arrays
-  // empty — e.g. symbol-entropy); detail arrays on a non-alerting line
-  // are accepted and dropped, matching what the renderer can emit.
-  if (verdict.alert) verdict.detail = std::move(detail);
-  return alert;
 }
 
 }  // namespace canids::serve

@@ -59,8 +59,6 @@ class LineFramer {
     return oversized_;
   }
 
-  [[nodiscard]] std::size_t max_line() const noexcept { return max_line_; }
-
  private:
   std::size_t max_line_;
   std::string buffer_;  ///< partial line carried across feeds

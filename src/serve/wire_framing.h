@@ -37,9 +37,6 @@ class BinaryFramer {
   /// Invalid or truncated records seen so far.
   [[nodiscard]] std::uint64_t faults() const noexcept { return faults_; }
 
-  /// Bytes of a partial record currently buffered.
-  [[nodiscard]] std::size_t pending() const noexcept { return partial_len_; }
-
  private:
   unsigned char partial_[trace::kBinaryRecordBytes];
   std::size_t partial_len_ = 0;

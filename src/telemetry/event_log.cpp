@@ -9,11 +9,16 @@
 
 namespace canids::telemetry {
 
+namespace {
+
+/// Wall-clock nanoseconds since the Unix epoch: the default EventLog clock.
 std::int64_t wall_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
+
+}  // namespace
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -76,11 +81,6 @@ std::uint64_t EventLog::emit(std::string_view type,
   out_->write(line.data(), static_cast<std::streamsize>(line.size()));
   if (!*out_) failed_ = true;
   return seq;
-}
-
-std::uint64_t EventLog::emitted() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return seq_;
 }
 
 bool EventLog::ok() const noexcept {

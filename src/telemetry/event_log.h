@@ -72,8 +72,6 @@ class EventLog {
   std::uint64_t emit(std::string_view type,
                      std::initializer_list<Field> fields = {});
 
-  /// Events emitted so far (== next sequence number).
-  [[nodiscard]] std::uint64_t emitted() const noexcept;
   /// False once any write has failed.
   [[nodiscard]] bool ok() const noexcept;
   void flush();
@@ -89,10 +87,6 @@ class EventLog {
   bool failed_ = false;
   std::function<std::int64_t()> clock_;
 };
-
-/// Wall-clock nanoseconds since the Unix epoch (the default EventLog
-/// clock, exposed for callers that stamp their own records).
-[[nodiscard]] std::int64_t wall_now_ns();
 
 /// Monotonic nanoseconds (steady_clock) — the hot-path latency timebase.
 [[nodiscard]] std::int64_t steady_now_ns();

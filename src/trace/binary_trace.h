@@ -156,9 +156,6 @@ class BinaryTraceSource final : public RecordSource {
   [[nodiscard]] std::uint64_t record_count() const noexcept {
     return record_count_;
   }
-  [[nodiscard]] const std::vector<std::string>& channels() const noexcept {
-    return channels_;
-  }
 
  private:
   void read_header();

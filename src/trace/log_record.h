@@ -22,20 +22,14 @@ struct LogRecord {
 
 using Trace = std::vector<LogRecord>;
 
-/// Thrown by all trace parsers on malformed input; carries the 1-based line
-/// number when parsing a whole stream.
+/// Thrown by all trace parsers on malformed input; the message starts with
+/// the 1-based line number ("line 3: ...") when parsing a whole stream.
 class ParseError : public std::runtime_error {
  public:
   explicit ParseError(const std::string& message, std::size_t line = 0)
-      : std::runtime_error(line == 0
-                               ? message
-                               : "line " + std::to_string(line) + ": " + message),
-        line_(line) {}
-
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
- private:
-  std::size_t line_;
+      : std::runtime_error(line == 0 ? message
+                                     : "line " + std::to_string(line) + ": " +
+                                           message) {}
 };
 
 }  // namespace canids::trace

@@ -47,10 +47,3 @@ namespace detail {
       ::canids::detail::contract_fail("precondition", #cond, __FILE__,    \
                                       __LINE__, (msg));                   \
   } while (false)
-
-#define CANIDS_ENSURES(cond)                                              \
-  do {                                                                    \
-    if (!(cond))                                                          \
-      ::canids::detail::contract_fail("postcondition", #cond, __FILE__,   \
-                                      __LINE__);                          \
-  } while (false)

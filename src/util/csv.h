@@ -2,6 +2,7 @@
 // Handles quoted fields with embedded commas/quotes (RFC 4180 subset).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -46,6 +47,25 @@ namespace canids::util {
 /// or an inf/nan must reject, not truncate). Returns false on failure.
 [[nodiscard]] bool parse_double_strict(std::string_view text,
                                        double& value) noexcept;
+
+/// Strict unsigned integer parse: the whole token must be digits in `base`
+/// (no sign, no whitespace, no prefix) and the value must fit in T, so a
+/// negative field can never wrap. The integer fields of the model text
+/// formats share this rule. Returns false, with `value` untouched, on
+/// failure.
+template <class T>
+[[nodiscard]] bool parse_digits_strict(std::string_view text, T& value,
+                                       int base = 10) noexcept {
+  // from_chars takes no whitespace and no '+'; only the '-' it accepts
+  // for a signed T needs refusing here.
+  if (text.empty() || text.front() == '-') return false;
+  T parsed{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, parsed, base);
+  if (ec != std::errc{} || end != last) return false;
+  value = parsed;
+  return true;
+}
 
 /// Read the next line of a keyed text format (the model-persistence
 /// streams) as exactly `<key> <value>` and return the value token. Throws

@@ -58,13 +58,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
-  /// Bernoulli draw with success probability p (clamped to [0,1]).
-  [[nodiscard]] bool chance(double p) noexcept;
-
-  /// Normally distributed value via Box-Muller (no cached spare; simple and
-  /// deterministic across platforms).
-  [[nodiscard]] double normal(double mean, double stddev) noexcept;
-
   /// Derive an independent child generator; useful for giving each simulated
   /// ECU its own stream while keeping the experiment reproducible.
   [[nodiscard]] Rng fork() noexcept;

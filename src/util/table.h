@@ -27,8 +27,6 @@ class Table {
   /// Render with a box-drawing rule under the header.
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

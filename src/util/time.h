@@ -16,14 +16,6 @@ inline constexpr TimeNs kMicrosecond = 1'000;
 inline constexpr TimeNs kMillisecond = 1'000'000;
 inline constexpr TimeNs kSecond = 1'000'000'000;
 
-[[nodiscard]] constexpr TimeNs from_ms(std::int64_t ms) noexcept {
-  return ms * kMillisecond;
-}
-
-[[nodiscard]] constexpr TimeNs from_us(std::int64_t us) noexcept {
-  return us * kMicrosecond;
-}
-
 /// True when from_seconds(s) is defined: `s` is finite and s * kSecond
 /// fits in TimeNs (|s| below about 9.2e9). Seconds read from a command line
 /// or a file are checked with this first.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -24,8 +27,12 @@ IntervalIds trained_on_100ms_id(std::uint32_t id = 0x100,
 TEST(IntervalIdsTest, LearnsMeanPeriod) {
   const IntervalIds ids = trained_on_100ms_id();
   EXPECT_EQ(ids.tracked_ids(), 1u);
-  EXPECT_EQ(ids.learned_interval(0x100), 100 * kMillisecond);
-  EXPECT_EQ(ids.learned_interval(0x999), 0);
+  // The model's one row: ID 0x100 at 100 ms.
+  std::ostringstream saved;
+  ids.save(saved);
+  const std::string text = saved.str();
+  EXPECT_NE(text.find("\nids 1\n256 100000000\n"), std::string::npos)
+      << text;
 }
 
 TEST(IntervalIdsTest, NormalRateDoesNotAlert) {
@@ -103,7 +110,11 @@ TEST(IntervalIdsTest, SingleSightingIdsNotTracked) {
   ids.train(kSecond, 0x200);
   ids.finish_training();
   EXPECT_EQ(ids.tracked_ids(), 1u);
-  EXPECT_EQ(ids.learned_interval(0x100), 0);
+  std::ostringstream saved;
+  ids.save(saved);
+  // The one row is 0x200 at 1 s.
+  EXPECT_NE(saved.str().find("\nids 1\n512 1000000000\n"), std::string::npos)
+      << saved.str();
 }
 
 TEST(IntervalIdsTest, LifecycleContractsEnforced) {

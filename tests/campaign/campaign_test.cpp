@@ -118,6 +118,10 @@ TEST(CampaignSpecTest, FromJsonRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)CampaignSpec::from_json("{\"seeds\": true}"),
                std::invalid_argument);
+  // Sweep IDs are standard identifiers.
+  EXPECT_NO_THROW((void)CampaignSpec::from_json("{\"sweep_ids\": [2047]}"));
+  EXPECT_THROW((void)CampaignSpec::from_json("{\"sweep_ids\": [2048]}"),
+               std::invalid_argument);
   EXPECT_THROW((void)CampaignSpec::from_json("{\"name\": \"x\"} trailing"),
                std::invalid_argument);
   // Values that would wrap through size_t casts or place the attack at

@@ -14,6 +14,13 @@ Frame data(std::uint32_t id) {
   return Frame::data_frame(CanId::standard(id), {});
 }
 
+/// True if `a` wins a two-frame round outright against `b`.
+bool wins(const Frame& a, const Frame& b) {
+  const Frame contenders[] = {a, b};
+  const ArbitrationResult result = arbitrate(contenders);
+  return result.winner == 0 && result.tied_with_winner.empty();
+}
+
 TEST(ArbitrationBitsTest, StandardDataFrame) {
   // 11 ID bits + RTR(0) + IDE(0) = 13 bits, all observable dominance.
   const BitString bits = arbitration_bits(data(0x555));
@@ -37,15 +44,15 @@ TEST(ArbitrationBitsTest, ExtendedFrameLayout) {
 }
 
 TEST(ArbitrationWinsTest, LowerIdWins) {
-  EXPECT_TRUE(arbitration_wins(data(0x100), data(0x200)));
-  EXPECT_FALSE(arbitration_wins(data(0x200), data(0x100)));
+  EXPECT_TRUE(wins(data(0x100), data(0x200)));
+  EXPECT_FALSE(wins(data(0x200), data(0x100)));
 }
 
 TEST(ArbitrationWinsTest, DataFrameBeatsRemoteFrameOfSameId) {
   const Frame d = data(0x123);
   const Frame r = Frame::remote_frame(CanId::standard(0x123), 0);
-  EXPECT_TRUE(arbitration_wins(d, r));
-  EXPECT_FALSE(arbitration_wins(r, d));
+  EXPECT_TRUE(wins(d, r));
+  EXPECT_FALSE(wins(r, d));
 }
 
 TEST(ArbitrationWinsTest, StandardBeatsExtendedWithSameLeadingBits) {
@@ -53,8 +60,8 @@ TEST(ArbitrationWinsTest, StandardBeatsExtendedWithSameLeadingBits) {
   const Frame std_frame = data(0x123);
   const Frame ext_frame =
       Frame::data_frame(CanId::extended(0x123u << 18), {});
-  EXPECT_TRUE(arbitration_wins(std_frame, ext_frame));
-  EXPECT_FALSE(arbitration_wins(ext_frame, std_frame));
+  EXPECT_TRUE(wins(std_frame, ext_frame));
+  EXPECT_FALSE(wins(ext_frame, std_frame));
 }
 
 TEST(ArbitrationWinsTest, DominantExtendedBeatsRecessiveStandard) {
@@ -62,7 +69,7 @@ TEST(ArbitrationWinsTest, DominantExtendedBeatsRecessiveStandard) {
   // whose leading bits are recessive.
   const Frame ext_low = Frame::data_frame(CanId::extended(0), {});
   const Frame std_high = data(0x7FF);
-  EXPECT_TRUE(arbitration_wins(ext_low, std_high));
+  EXPECT_TRUE(wins(ext_low, std_high));
 }
 
 TEST(ArbitrateTest, SingleContenderWinsTrivially) {

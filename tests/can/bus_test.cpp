@@ -222,8 +222,8 @@ TEST_P(BusConservationProperty, FramesNeitherLostNorDuplicated) {
   std::uint64_t dropped = 0;
   std::uint64_t blocked = 0;
   std::uint64_t pending = 0;
-  for (std::size_t n = 0; n < bus.node_count(); ++n) {
-    Node& node = bus.node(static_cast<int>(n));
+  for (int n = 0; n < node_count; ++n) {
+    Node& node = bus.node(n);
     generated += node.stats().generated;
     transmitted += node.stats().transmitted;
     dropped += node.stats().dropped_overflow;

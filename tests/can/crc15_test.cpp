@@ -14,19 +14,26 @@ std::vector<std::uint8_t> bytes_of(std::string_view text) {
   return {text.begin(), text.end()};
 }
 
+/// CRC over whole bytes the way the frame encoder feeds them.
+std::uint16_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  Crc15 crc;
+  for (const std::uint8_t byte : bytes) crc.push_byte(byte);
+  return crc.value();
+}
+
 TEST(Crc15Test, CheckValueForStandardTestVector) {
   // CRC-15/CAN check value: crc("123456789") == 0x059E (reveng catalogue).
-  EXPECT_EQ(crc15_of(bytes_of("123456789")), 0x059E);
+  EXPECT_EQ(crc_of(bytes_of("123456789")), 0x059E);
 }
 
 TEST(Crc15Test, EmptyInputIsZero) {
-  EXPECT_EQ(crc15_of({}), 0x0000);
+  EXPECT_EQ(crc_of({}), 0x0000);
 }
 
 TEST(Crc15Test, SingleZeroByteStaysZero) {
   // All-zero input never sets the register with init=0.
   const std::vector<std::uint8_t> zeros(4, 0x00);
-  EXPECT_EQ(crc15_of(zeros), 0x0000);
+  EXPECT_EQ(crc_of(zeros), 0x0000);
 }
 
 TEST(Crc15Test, ValueStaysWithin15Bits) {
@@ -34,7 +41,7 @@ TEST(Crc15Test, ValueStaysWithin15Bits) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<std::uint8_t> data(rng.below(16));
     for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-    EXPECT_LE(crc15_of(data), kCrc15Mask);
+    EXPECT_LE(crc_of(data), kCrc15Mask);
   }
 }
 
@@ -48,7 +55,7 @@ TEST(Crc15Test, BitwiseMatchesBytewise) {
     for (std::uint8_t byte : data) {
       for (int i = 7; i >= 0; --i) bitwise.push_bit(((byte >> i) & 1) != 0);
     }
-    EXPECT_EQ(bitwise.value(), crc15_of(data));
+    EXPECT_EQ(bitwise.value(), crc_of(data));
   }
 }
 
@@ -64,12 +71,12 @@ TEST(Crc15Test, PushBitsMsbFirstMatchesManual) {
 
 TEST(Crc15Test, SensitiveToSingleBitFlip) {
   const auto base = bytes_of("hello-can-bus");
-  const std::uint16_t reference = crc15_of(base);
+  const std::uint16_t reference = crc_of(base);
   for (std::size_t byte = 0; byte < base.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       auto mutated = base;
       mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_NE(crc15_of(mutated), reference)
+      EXPECT_NE(crc_of(mutated), reference)
           << "flip at byte " << byte << " bit " << bit << " undetected";
     }
   }

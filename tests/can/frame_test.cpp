@@ -116,13 +116,6 @@ TEST(FrameTest, ToStringCandumpStyle) {
             "5E4#R2");
 }
 
-TEST(FrameTest, MutablePayloadWritesThrough) {
-  const std::vector<std::uint8_t> payload = {1, 2, 3};
-  Frame f = Frame::data_frame(CanId::standard(7), payload);
-  f.mutable_payload()[1] = 0x99;
-  EXPECT_EQ(f.payload()[1], 0x99);
-}
-
 TEST(FrameTest, EqualityComparesIdDataAndKind) {
   const std::vector<std::uint8_t> payload = {1, 2};
   const Frame a = Frame::data_frame(CanId::standard(7), payload);

@@ -95,15 +95,6 @@ TEST(PeriodicSenderTest, CounterPayloadIncrements) {
   }
 }
 
-TEST(PeriodicSenderTest, ScalePeriodsChangesRate) {
-  PeriodicSender sender("ecu", {spec_of(0x100, 10 * kMillisecond)},
-                        util::Rng(1), /*queue_capacity=*/256);
-  sender.scale_periods(0.5);  // twice as fast
-  sender.produce(100 * kMillisecond);
-  EXPECT_EQ(sender.stats().generated, 21u);  // due every 5 ms from 0
-  EXPECT_THROW(sender.scale_periods(0.0), canids::ContractViolation);
-}
-
 // The bus sleeps until next_production_time(), so it must stay the earliest
 // due time of any message, however irregularly produce() is called.
 TEST(PeriodicSenderTest, NextProductionTimeStaysTheEarliestDueTime) {
@@ -138,16 +129,6 @@ TEST(PeriodicSenderTest, NextProductionTimeStaysTheEarliestDueTime) {
   for (const TimeNs now : {0, 0, 2, 3, 3, 11, 12, 40, 40, 41, 97}) {
     step_to(now * kMillisecond);
   }
-
-  // New periods apply from each message's next due time on.
-  sender.scale_periods(0.3);
-  for (TimeNs& p : period) {
-    p = std::max<TimeNs>(
-        static_cast<TimeNs>(static_cast<double>(p) * 0.3), 1);
-  }
-  for (const TimeNs now : {97, 98, 99, 120, 120, 121, 200}) {
-    step_to(now * kMillisecond);
-  }
 }
 
 TEST(PeriodicSenderTest, RejectsEmptySpecList) {
@@ -171,28 +152,6 @@ TEST(NodeTest, HeadAndPopRequireNonEmptyQueue) {
                         util::Rng(1));
   EXPECT_THROW((void)sender.head(), canids::ContractViolation);
   EXPECT_THROW(sender.pop_head(), canids::ContractViolation);
-}
-
-TEST(ScriptedSenderTest, EmitsInTimestampOrder) {
-  const Frame f1 = Frame::data_frame(CanId::standard(0x10), {});
-  const Frame f2 = Frame::data_frame(CanId::standard(0x20), {});
-  // Deliberately unsorted input.
-  ScriptedSender sender("script", {{20 * kMillisecond, f2},
-                                   {10 * kMillisecond, f1}});
-  EXPECT_EQ(sender.next_production_time(), 10 * kMillisecond);
-  sender.produce(15 * kMillisecond);
-  ASSERT_TRUE(sender.has_pending());
-  EXPECT_EQ(sender.head().id().raw(), 0x10u);
-  sender.pop_head();
-  EXPECT_FALSE(sender.has_pending());
-  sender.produce(30 * kMillisecond);
-  ASSERT_TRUE(sender.has_pending());
-  EXPECT_EQ(sender.head().id().raw(), 0x20u);
-}
-
-TEST(ScriptedSenderTest, ExhaustedScriptReportsNever) {
-  ScriptedSender sender("script", {});
-  EXPECT_EQ(sender.next_production_time(), util::kNever);
 }
 
 }  // namespace

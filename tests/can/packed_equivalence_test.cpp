@@ -29,7 +29,7 @@ std::uint8_t stuffing_heavy_byte(util::Rng& rng) {
 /// Standard, extended and remote frames, DLC 0..8, with extreme
 /// identifiers and stuffing-heavy payloads mixed in.
 Frame random_frame(util::Rng& rng) {
-  const bool extended = rng.chance(0.4);
+  const bool extended = rng.uniform01() < 0.4;
   const std::uint64_t id_limit = extended ? kMaxExtId + 1ULL : kMaxStdId + 1ULL;
   std::uint32_t raw = 0;
   switch (rng.below(4)) {
@@ -39,10 +39,10 @@ Frame random_frame(util::Rng& rng) {
   }
   const CanId id = extended ? CanId::extended(raw) : CanId::standard(raw);
   const auto dlc = static_cast<std::uint8_t>(rng.below(kMaxDataBytes + 1));
-  if (rng.chance(0.15)) return Frame::remote_frame(id, dlc);
+  if (rng.uniform01() < 0.15) return Frame::remote_frame(id, dlc);
   std::vector<std::uint8_t> payload(dlc);
-  const bool uniform = rng.chance(0.3);
-  const std::uint8_t fill = rng.chance(0.5) ? 0x00 : 0xFF;
+  const bool uniform = rng.uniform01() < 0.3;
+  const std::uint8_t fill = (rng.uniform01() < 0.5) ? 0x00 : 0xFF;
   for (auto& b : payload) b = uniform ? fill : stuffing_heavy_byte(rng);
   return Frame::data_frame(id, payload);
 }
@@ -213,7 +213,7 @@ TEST(KeyArbitrationTest, EqualsWiredAndReferenceOnRandomContenderSets) {
     std::vector<Frame> pool;
     const int pool_size = 1 + static_cast<int>(rng.below(6));
     for (int i = 0; i < pool_size; ++i) pool.push_back(random_frame(rng));
-    if (rng.chance(0.5)) {
+    if (rng.uniform01() < 0.5) {
       // A standard frame and an extended frame sharing its 11 leading bits.
       const auto top = static_cast<std::uint32_t>(rng.below(kMaxStdId + 1ULL));
       pool.push_back(Frame::data_frame(CanId::standard(top), {}));

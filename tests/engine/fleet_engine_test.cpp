@@ -587,13 +587,15 @@ TEST(FleetEngineTest, ReloadRejectsIncompatibleModelsAtomically) {
   // A template of a different bit width (29-bit extended vs the fleet's
   // 11-bit standard) must be rejected whole — no stream half-reloaded,
   // generation unchanged.
+  // The snapshot of 40 frames all carrying the extended ID 0x1FF0001.
   ids::TemplateBuilder builder(can::kExtIdBits);
-  ids::BitCountersT<can::kExtIdBits> counters;
-  for (int i = 0; i < 40; ++i) counters.add(0x1FF0001u);
   ids::WindowSnapshot snap;
-  snap.frames = counters.total();
-  snap.probabilities = counters.probabilities();
-  snap.entropies = counters.entropies();
+  snap.frames = 40;
+  for (int bit = 0; bit < can::kExtIdBits; ++bit) {
+    snap.probabilities.push_back(
+        ((0x1FF0001u >> (can::kExtIdBits - 1 - bit)) & 1u) != 0 ? 1.0 : 0.0);
+    snap.entropies.push_back(0.0);
+  }
   for (int w = 0; w < 3; ++w) builder.add_window(snap);
   analysis::ModelRefs bad;
   bad.golden =

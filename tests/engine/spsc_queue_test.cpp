@@ -5,42 +5,46 @@
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace canids::engine {
 namespace {
 
+// The ring holds a power of two slots, one of them always empty.
 TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(10).capacity(), 16u);
-  EXPECT_EQ(SpscQueue<int>(1024).capacity(), 2048u);
+  const std::vector<int> values(4096, 7);
+  for (const auto& [min_capacity, usable] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {3, 3}, {10, 15},
+        {1024, 2047}}) {
+    SpscQueue<int> queue(min_capacity);
+    EXPECT_EQ(queue.try_push_batch(values.data(), values.size()), usable)
+        << min_capacity;
+  }
 }
 
 TEST(SpscQueueTest, FifoOrderSingleThread) {
   SpscQueue<int> queue(8);
   for (int i = 0; i < 7; ++i) EXPECT_TRUE(queue.try_push(i));
-  for (int i = 0; i < 7; ++i) {
-    const auto value = queue.try_pop();
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, i);
-  }
-  EXPECT_FALSE(queue.try_pop().has_value());
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch(out, 100), 7u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(queue.pop_batch(out, 100), 0u);
 }
 
 TEST(SpscQueueTest, PushFailsWhenFullPopFailsWhenEmpty) {
   SpscQueue<int> queue(2);  // capacity 4, usable 3
-  EXPECT_FALSE(queue.try_pop().has_value());
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch(out, 1), 0u);
   EXPECT_TRUE(queue.try_push(1));
   EXPECT_TRUE(queue.try_push(2));
   EXPECT_TRUE(queue.try_push(3));
   EXPECT_FALSE(queue.try_push(4));
   EXPECT_EQ(queue.size_approx(), 3u);
-  EXPECT_EQ(queue.try_pop(), 1);
+  EXPECT_EQ(queue.pop_batch(out, 1), 1u);
   EXPECT_TRUE(queue.try_push(4));  // slot freed, wraps around
-  EXPECT_EQ(queue.try_pop(), 2);
-  EXPECT_EQ(queue.try_pop(), 3);
-  EXPECT_EQ(queue.try_pop(), 4);
+  EXPECT_EQ(queue.pop_batch(out, 100), 3u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(SpscQueueTest, PopBatchDrainsInOrder) {
@@ -60,9 +64,11 @@ TEST(SpscQueueTest, PushBatchFillsUpToCapacity) {
   const int values[10] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(queue.try_push_batch(values, 10), 7u);
   EXPECT_EQ(queue.try_push_batch(values + 7, 3), 0u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(queue.try_pop(), i);
-  EXPECT_EQ(queue.try_push_batch(values + 7, 3), 3u);  // wraps around
   std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch(out, 3), 3u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  out.clear();
+  EXPECT_EQ(queue.try_push_batch(values + 7, 3), 3u);  // wraps around
   EXPECT_EQ(queue.pop_batch(out, 100), 7u);
   EXPECT_EQ(out, (std::vector<int>{3, 4, 5, 6, 7, 8, 9}));
 }
@@ -94,7 +100,8 @@ TEST(SpscQueueTest, TransfersEverythingAcrossThreadsInOrder) {
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(received[i], i) << "reordered at " << i;
   }
-  EXPECT_FALSE(queue.try_pop().has_value());
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 1), 0u);
 }
 
 }  // namespace

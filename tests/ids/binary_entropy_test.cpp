@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 namespace canids::ids {
 namespace {
@@ -26,29 +26,6 @@ TEST(BinaryEntropyTest, KnownAnalyticValues) {
 TEST(BinaryEntropyTest, ClampsOutOfDomainInputs) {
   EXPECT_DOUBLE_EQ(binary_entropy(-0.1), 0.0);
   EXPECT_DOUBLE_EQ(binary_entropy(1.1), 0.0);
-}
-
-TEST(BinaryEntropyDerivativeTest, SignStructure) {
-  EXPECT_GT(binary_entropy_derivative(0.2), 0.0);  // rising left of 1/2
-  EXPECT_LT(binary_entropy_derivative(0.8), 0.0);  // falling right of 1/2
-  EXPECT_NEAR(binary_entropy_derivative(0.5), 0.0, 1e-12);
-}
-
-TEST(BinaryEntropyDerivativeTest, FiniteAtEndpoints) {
-  EXPECT_TRUE(std::isfinite(binary_entropy_derivative(0.0)));
-  EXPECT_TRUE(std::isfinite(binary_entropy_derivative(1.0)));
-}
-
-TEST(BinaryEntropyInverseTest, RoundTripsOnLeftBranch) {
-  for (double p = 0.0; p <= 0.5; p += 0.01) {
-    const double h = binary_entropy(p);
-    EXPECT_NEAR(binary_entropy_inverse(h), p, 1e-9) << "p=" << p;
-  }
-}
-
-TEST(BinaryEntropyInverseTest, Extremes) {
-  EXPECT_DOUBLE_EQ(binary_entropy_inverse(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(binary_entropy_inverse(1.0), 0.5);
 }
 
 // --- Property sweep -----------------------------------------------------

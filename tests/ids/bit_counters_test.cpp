@@ -73,21 +73,12 @@ TEST(BitCountersTest, AddCanIdChecksWidth) {
                canids::ContractViolation);
 }
 
-TEST(BitCountersTest, ExtendedCounterWorks) {
-  BitCounters29 counters;
-  counters.add(0x10000000u);  // MSB of the 29-bit space
-  EXPECT_DOUBLE_EQ(counters.probability(0), 1.0);
-  EXPECT_DOUBLE_EQ(counters.probability(28), 0.0);
-}
-
 TEST(BitCountersTest, StateBytesIsConstantAndSmall) {
   // The §V.E claim: per-bus state independent of traffic. 11 counters
   // padded to whole lane words for the lane spill (12 * 8 bytes) + total
   // (8) plus the hot path's lane accumulator padded to one 256-bit vector
   // (32) and pending count (4).
   EXPECT_EQ(BitCounters::state_bytes(), 96u + 8u + 32u + 4u);
-  // The 29-bit counter has no lane table: 29 counters + total.
-  EXPECT_EQ(BitCounters29::state_bytes(), 240u);
 }
 
 TEST(BitCountersTest, OnesRejectsOutOfRangeBit) {

@@ -179,27 +179,6 @@ TEST(InferenceEngineTest, HigherInjectionEasierThanLower) {
             light.estimated_injection_fraction);
 }
 
-TEST(InferenceEngineTest, AlignmentScorePrefersTrueId) {
-  const InferenceWorld world;
-  InferenceEngine engine(world.golden(), world.pool());
-  const std::uint32_t injected = world.pool()[10];
-  const WindowSnapshot attacked = world.make_window({{injected, 200}});
-  std::vector<double> delta(11);
-  for (int i = 0; i < 11; ++i) {
-    delta[static_cast<std::size_t>(i)] =
-        attacked.probabilities[static_cast<std::size_t>(i)] -
-        world.golden().mean_probability[static_cast<std::size_t>(i)];
-  }
-  const double true_score = engine.alignment_score(injected, delta);
-  int better = 0;
-  for (std::uint32_t other : world.pool()) {
-    if (other != injected && engine.alignment_score(other, delta) > true_score) {
-      ++better;
-    }
-  }
-  EXPECT_LT(better, 5);  // true ID is among the best aligned
-}
-
 TEST(InferenceEngineTest, EstimatedLambdaTracksInjectedFraction) {
   const InferenceWorld world;
   InferenceEngine engine(world.golden(), world.pool());

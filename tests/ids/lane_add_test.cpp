@@ -99,22 +99,6 @@ TEST(LaneAddTest, DefaultAndAvx2VariantsAgree) {
 #endif
 }
 
-TEST(LaneAddTest, ExtendedWidthBatchMatchesPerAdd) {
-  // Width 29 has no lane table — the batch path must still agree.
-  util::Rng rng(3);
-  std::vector<std::uint32_t> ids;
-  for (int i = 0; i < 5'000; ++i) {
-    ids.push_back(static_cast<std::uint32_t>(rng.below(can::kMaxExtId + 1)));
-  }
-  BitCounters29 reference;
-  for (const std::uint32_t id : ids) reference.add(id);
-  BitCounters29 batched;
-  batched.add_batch(ids.data(), ids.size());
-  for (int bit = 0; bit < can::kExtIdBits; ++bit) {
-    EXPECT_EQ(batched.ones(bit), reference.ones(bit)) << "bit " << bit;
-  }
-}
-
 TEST(LaneAddTest, PairCountersBatchMatchesPerAddBothModes) {
   const std::vector<std::uint32_t> ids = random_ids(4'096, 7);
   for (const bool with_pairs : {true, false}) {

@@ -27,7 +27,10 @@ TEST(WindowAccumulatorTest, TimeWindowClosesAtBoundary) {
   EXPECT_EQ(snap->start, 0);
   EXPECT_EQ(snap->end, kSecond);
   // The boundary frame opened the new window.
-  EXPECT_EQ(acc.frames_in_current(), 1u);
+  const auto rest = acc.flush();
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->frames, 1u);
+  EXPECT_EQ(rest->start, kSecond);
 }
 
 TEST(WindowAccumulatorTest, WindowAlignedToFirstFrame) {

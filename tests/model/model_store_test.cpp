@@ -205,9 +205,6 @@ TEST(IntervalModelIoTest, RoundTripIsByteExact) {
   const baselines::IntervalIds restored = baselines::IntervalIds::load(in);
   EXPECT_TRUE(restored.trained());
   EXPECT_EQ(restored.tracked_ids(), original.tracked_ids());
-  for (const std::uint32_t id : {0x100u, 0x2A7u, 0x555u}) {
-    EXPECT_EQ(restored.learned_interval(id), original.learned_interval(id));
-  }
   EXPECT_EQ(restored.config().fast_ratio, original.config().fast_ratio);
   EXPECT_EQ(restored.config().violations_to_alert,
             original.config().violations_to_alert);
@@ -257,6 +254,34 @@ TEST(IntervalModelIoTest, SaveRequiresTrainedLoadRejectsMalformed) {
       std::runtime_error);
 }
 
+// Integer fields are plain digits: a sign never loads, and a negative value
+// never wraps into a valid one.
+TEST(IntervalModelIoTest, LoadRejectsSignedIntegers) {
+  const auto load_error = [](const std::string& violations,
+                             const std::string& ids, const std::string& row) {
+    std::istringstream in("canids-interval-model v1\nfast_ratio 0.5\n"
+                          "violations_to_alert " + violations +
+                          "\nalert_on_unseen 0\nids " + ids + "\n" + row);
+    try {
+      (void)baselines::IntervalIds::load(in);
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("loaded");
+  };
+  EXPECT_EQ(load_error("3", "1", "256 10000000\n"), "loaded");
+  // -18446744073709551360 wraps through 2^64 to 256.
+  EXPECT_EQ(load_error("3", "1", "-18446744073709551360 10000000\n"),
+            "interval model: malformed id row "
+            "'-18446744073709551360 10000000'");
+  EXPECT_EQ(load_error("3", "1", "+256 10000000\n"),
+            "interval model: malformed id row '+256 10000000'");
+  EXPECT_EQ(load_error("+3", "1", "256 10000000\n"),
+            "interval model: malformed violations_to_alert '+3'");
+  EXPECT_EQ(load_error("3", "-1", ""),
+            "interval model: malformed id count '-1'");
+}
+
 // ---- the typed store -------------------------------------------------------
 
 ids::GoldenTemplate trained_template() {
@@ -295,8 +320,11 @@ TEST(ModelStoreTest, PackUnpackRoundTripsEveryModel) {
   EXPECT_EQ(restored.muter->mean_entropy(), models.muter->mean_entropy());
   EXPECT_EQ(restored.muter->threshold(), models.muter->threshold());
   EXPECT_EQ(restored.interval->tracked_ids(), models.interval->tracked_ids());
-  EXPECT_EQ(restored.interval->learned_interval(0x2A7),
-            models.interval->learned_interval(0x2A7));
+  std::ostringstream restored_text;
+  std::ostringstream original_text;
+  restored.interval->save(restored_text);
+  models.interval->save(original_text);
+  EXPECT_EQ(restored_text.str(), original_text.str());
 }
 
 TEST(ModelStoreTest, PartialBundlesAreValidEmptyOnesAreNot) {

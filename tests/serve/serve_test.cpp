@@ -1,5 +1,5 @@
 // The serve subsystem's contract tests: newline framing survives arbitrary
-// read fragmentation and hostile lines, alert JSONL round-trips byte-exact,
+// read fragmentation and hostile lines, alert JSONL keeps its pinned bytes,
 // and a real ServeServer on a Unix-domain socket produces the same verdicts
 // as feeding the engine directly — including across a mid-stream hot
 // reload, the invariant the live service's CI gate rests on.
@@ -168,77 +168,21 @@ engine::FleetAlert sample_alert(bool with_detail) {
   return alert;
 }
 
-TEST(AlertJsonTest, RoundTripIsByteIdentical) {
-  for (const bool with_detail : {true, false}) {
-    const engine::FleetAlert original = sample_alert(with_detail);
-    const std::string line = to_json_line(original);
-    const engine::FleetAlert parsed = parse_json_line(line);
-    // Byte-level schema round-trip: render(parse(render(x))) == render(x).
-    EXPECT_EQ(to_json_line(parsed), line);
-    EXPECT_EQ(parsed.stream, original.stream);
-    EXPECT_EQ(parsed.verdict.start, original.verdict.start);
-    EXPECT_EQ(parsed.verdict.frames, original.verdict.frames);
-    EXPECT_EQ(parsed.verdict.alert, original.verdict.alert);
-    EXPECT_EQ(parsed.verdict.metric, original.verdict.metric);
-    EXPECT_EQ(parsed.verdict.detail.has_value(), with_detail);
-    if (with_detail) {
-      EXPECT_EQ(parsed.verdict.detail->alerted_bits,
-                original.verdict.detail->alerted_bits);
-      EXPECT_EQ(parsed.verdict.detail->ranked_candidates,
-                original.verdict.detail->ranked_candidates);
-      EXPECT_EQ(parsed.verdict.detail->voters,
-                original.verdict.detail->voters);
-    }
-  }
-}
-
-TEST(AlertJsonTest, ParserToleratesKeyOrderAndUnknownKeys) {
-  const std::string line =
-      "{\"future_field\": {\"nested\": [1, 2, {\"x\": null}]}, "
-      "\"alert\": true, \"stream\": \"bus\", \"metric\": 0.5, "
-      "\"threshold\": 0.01, \"bits\": [2], \"start_ns\": 1000, "
-      "\"end_ns\": 2000, \"frames\": 10, \"evaluated\": true}";
-  const engine::FleetAlert parsed = parse_json_line(line);
-  EXPECT_EQ(parsed.stream, "bus");
-  EXPECT_TRUE(parsed.verdict.alert);
-  EXPECT_EQ(parsed.verdict.frames, 10u);
-  ASSERT_TRUE(parsed.verdict.detail.has_value());
-  EXPECT_EQ(parsed.verdict.detail->alerted_bits, std::vector<int>{2});
-}
-
-TEST(AlertJsonTest, UnknownValuesNestingTooDeepThrowTypedError) {
-  // 200k unclosed brackets under an unknown key once overflowed the
-  // recursive skip_value()'s stack.
-  EXPECT_THROW(
-      parse_json_line("{\"future\": " + std::string(200'000, '[')),
-      util::JsonDepthError);
-  // The top-level object is one level; an unknown value may nest up to
-  // the limit and no deeper.
-  const int inner = util::kMaxJsonDepth - 1;
-  const std::string fits = "{\"future\": " + std::string(inner, '[') +
-                           std::string(inner, ']') + ", \"stream\": \"s\"}";
-  EXPECT_EQ(parse_json_line(fits).stream, "s");
-  const std::string too_deep = "{\"future\": " +
-                               std::string(inner + 1, '[') +
-                               std::string(inner + 1, ']') + "}";
-  EXPECT_THROW(parse_json_line(too_deep), util::JsonDepthError);
-}
-
-TEST(AlertJsonTest, MalformedLinesThrow) {
-  EXPECT_THROW(parse_json_line(""), std::runtime_error);
-  EXPECT_THROW(parse_json_line("{\"stream\": \"x\""), std::runtime_error);
-  EXPECT_THROW(parse_json_line("{\"stream\": \"x\"} junk"),
-               std::runtime_error);
-  EXPECT_THROW(parse_json_line("{\"alert\": maybe}"), std::runtime_error);
-  // Integer fields are converted exactly into their C++ type, never cast;
-  // numbers and whitespace follow RFC 8259.
-  for (const char* line :
-       {"{\"frames\": 1.9}", "{\"frames\": -1}", "{\"start_ns\": 1e3}",
-        "{\"start_ns\": 99999999999999999999999}", "{\"metric\": 1.2.3}",
-        "{\"metric\": -}", "{\"bits\": [99999999999]}",
-        "\v{\"stream\": \"x\"}"}) {
-    EXPECT_THROW(parse_json_line(line), std::runtime_error) << line;
-  }
+// The schema's exact bytes: fixed key order, escaped stream key, %.17g
+// doubles, and detail arrays only on an alerting verdict.
+TEST(AlertJsonTest, LinesMatchPinnedBytes) {
+  EXPECT_EQ(to_json_line(sample_alert(true)),
+            R"({"stream": "veh-\"07\"\n", "start_ns": 12000000000, )"
+            R"("end_ns": 13000000000, "frames": 941, "evaluated": true, )"
+            R"("alert": true, "metric": 0.10033753152200221, )"
+            R"("threshold": 0.01, "bits": [0, 3, 6, 8], )"
+            R"("candidates": [1265, 211], "voters": ["bit-entropy", )"
+            R"("interval"]})");
+  EXPECT_EQ(to_json_line(sample_alert(false)),
+            R"({"stream": "veh-\"07\"\n", "start_ns": 12000000000, )"
+            R"("end_ns": 13000000000, "frames": 941, "evaluated": true, )"
+            R"("alert": false, "metric": 0.10033753152200221, )"
+            R"("threshold": 0.01})");
 }
 
 // ---- the server over a real Unix-domain socket ------------------------------

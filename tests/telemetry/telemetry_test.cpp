@@ -253,7 +253,6 @@ TEST(EventLog, RendersFixedLines) {
             "\"uds\":\"/tmp/x.sock\",\"tcp_port\":-1}\n"
             "{\"seq\":1,\"ts_ns\":1234,\"type\":\"model_reload\","
             "\"generation\":3,\"forced\":true}\n");
-  EXPECT_EQ(log.emitted(), 2u);
   EXPECT_TRUE(log.ok());
 }
 
@@ -288,7 +287,6 @@ TEST(EventLog, ConcurrentEmittersKeepFileOrder) {
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(log.emitted(), static_cast<std::uint64_t>(kThreads * kPerThread));
   std::istringstream lines(out.str());
   std::string line;
   std::uint64_t expected_seq = 0;

@@ -84,42 +84,6 @@ TEST(RngTest, Uniform01MeanNearHalf) {
   EXPECT_NEAR(sum / kSamples, 0.5, 0.01);
 }
 
-TEST(RngTest, ChanceExtremes) {
-  Rng rng(13);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.chance(0.0));
-    EXPECT_TRUE(rng.chance(1.0));
-    EXPECT_FALSE(rng.chance(-0.5));
-    EXPECT_TRUE(rng.chance(1.5));
-  }
-}
-
-TEST(RngTest, ChanceApproximatesProbability) {
-  Rng rng(17);
-  int hits = 0;
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) {
-    if (rng.chance(0.3)) ++hits;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
-}
-
-TEST(RngTest, NormalMeanAndSpread) {
-  Rng rng(23);
-  double sum = 0.0;
-  double sq = 0.0;
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = rng.normal(10.0, 2.0);
-    sum += x;
-    sq += x * x;
-  }
-  const double mean = sum / kSamples;
-  const double var = sq / kSamples - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.05);
-  EXPECT_NEAR(var, 4.0, 0.15);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.fork();

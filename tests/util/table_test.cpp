@@ -27,14 +27,6 @@ TEST(TableTest, RejectsMismatchedRow) {
   EXPECT_THROW(table.add_row({"only"}), ContractViolation);
 }
 
-TEST(TableTest, RowCount) {
-  Table table({"a"});
-  EXPECT_EQ(table.rows(), 0u);
-  table.add_row({"1"});
-  table.add_row({"2"});
-  EXPECT_EQ(table.rows(), 2u);
-}
-
 TEST(TableTest, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");

@@ -82,6 +82,7 @@
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "trace/trace_io.h"
+#include "util/csv.h"
 #include "util/table.h"
 
 using namespace canids;
@@ -1278,16 +1279,18 @@ int cmd_campaign(std::vector<std::string> args) {
   if (const auto ids = arg_string(args, "--ids")) {
     spec.sweep_ids.clear();
     for (const std::string& item : split_list(*ids)) {
-      try {
-        std::size_t used = 0;
-        const unsigned long long id = std::stoull(item, &used, 0);
-        if (used != item.size() || id > 0xFFFFFFFFull) {
-          throw std::invalid_argument("range");
-        }
-        spec.sweep_ids.push_back(static_cast<std::uint32_t>(id));
-      } catch (const std::exception&) {
+      // Decimal, or hex after 0x; a sign never wraps into a valid ID.
+      std::string_view digits = item;
+      int base = 10;
+      if (digits.starts_with("0x") || digits.starts_with("0X")) {
+        digits.remove_prefix(2);
+        base = 16;
+      }
+      std::uint32_t id = 0;
+      if (!util::parse_digits_strict(digits, id, base)) {
         throw UsageError{"invalid identifier '" + item + "' in --ids"};
       }
+      spec.sweep_ids.push_back(id);
     }
   }
   if (const auto rates = arg_string(args, "--rates")) {
